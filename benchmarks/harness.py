@@ -37,7 +37,7 @@ RESULTS_DIR = Path(__file__).parent / "results"
 # driver script), every figure run also dumps the Chrome-trace JSON of
 # the PIM batches it executed, named ``<figure>.trace.json``.
 TRACE_DIR: Path | None = None
-_TRACE_SCHEDULES: list = []
+_TRACE_WORKS: list = []
 
 # Every ``pim_qps`` call since the last ``save_result`` — the raw
 # material for the schema-versioned ``<figure>.json`` result record.
@@ -173,8 +173,8 @@ def build_pim_engine(
 def pim_qps(engine: UpANNSEngine, queries: np.ndarray, *, k: int | None = None):
     """Run a batch; return (extrapolated-to-896-DPUs QPS, BatchResult)."""
     result = engine.search_batch(queries, k=k)
-    if TRACE_DIR is not None and result.schedule is not None:
-        _TRACE_SCHEDULES.append(result.schedule)
+    if TRACE_DIR is not None and result.work is not None:
+        _TRACE_WORKS.append(result.work)
     n_sim = engine.config.pim.n_dpus
     qps = result.qps * (PAPER_DPUS / n_sim)
     _RESULT_RUNS.append((qps, result))
@@ -254,12 +254,12 @@ def save_result(figure: str, text: str) -> None:
             path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
             print(f"wrote {len(_RESULT_RUNS)} run(s) to {path}")
         _RESULT_RUNS.clear()
-    if TRACE_DIR is not None and _TRACE_SCHEDULES:
-        from repro.sim import compose
+    if TRACE_DIR is not None and _TRACE_WORKS:
+        from repro.sim import execute_stream
 
         TRACE_DIR.mkdir(parents=True, exist_ok=True)
-        combined = compose(list(_TRACE_SCHEDULES), "sequential")
+        combined = execute_stream(_TRACE_WORKS, overlap="sequential")
         path = TRACE_DIR / f"{figure}.trace.json"
         path.write_text(json.dumps(combined.to_chrome_trace()))
-        print(f"wrote {len(_TRACE_SCHEDULES)} batch schedule(s) to {path}")
-        _TRACE_SCHEDULES.clear()
+        print(f"wrote {len(_TRACE_WORKS)} batch schedule(s) to {path}")
+        _TRACE_WORKS.clear()

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.validation import validate_queries
 from repro.errors import NotTrainedError
 from repro.hardware.counters import StageCycles
 from repro.hardware.specs import CpuSpec, XEON_4110_PAIR
@@ -80,7 +81,7 @@ class CpuEngine:
         """
         if not self.index.is_trained:
             raise NotTrainedError("index must be trained")
-        queries = np.atleast_2d(queries)
+        queries = validate_queries(queries, dim=self.index.dim)
         nq = queries.shape[0]
         if compute_results:
             result: SearchResult = self.index.search(queries, k, nprobe)

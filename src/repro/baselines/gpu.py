@@ -23,6 +23,7 @@ import math
 
 import numpy as np
 
+from repro.core.validation import validate_queries
 from repro.errors import DeviceOutOfMemoryError, NotTrainedError
 from repro.baselines.cpu import BaselineBatchResult
 from repro.hardware.counters import StageCycles
@@ -95,7 +96,7 @@ class GpuEngine:
         if not self.index.is_trained:
             raise NotTrainedError("index must be trained")
         self.check_memory(nprobe)
-        queries = np.atleast_2d(queries)
+        queries = validate_queries(queries, dim=self.index.dim)
         nq = queries.shape[0]
         if compute_results:
             result: SearchResult = self.index.search(queries, k, nprobe)

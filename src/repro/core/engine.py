@@ -43,6 +43,7 @@ from repro.core.lut_cache import LutCache, query_digest
 from repro.core.memory_plan import WramPlan, plan_wram
 from repro.core.placement import Placement, place_clusters, random_placement
 from repro.core.scheduling import Assignment, schedule_batch
+from repro.core.validation import validate_queries
 from repro.core.topk import HeapStats
 from repro.hardware.counters import StageCycles
 from repro.hardware.host import HostModel
@@ -65,7 +66,6 @@ from repro.sim import (
     BatchSchedule,
     BatchTiming,
     BatchWork,
-    resolve_sim_engine,
 )
 from repro.tracing.context import TraceContext
 from repro.workload.trace import AccessTrace
@@ -156,10 +156,6 @@ class UpANNSEngine:
     #: Live fault runtime; ``None`` keeps the engine on the exact
     #: fault-free code path (golden-pinned).
     fault_state: FaultState | None = None
-    #: Execution core for batch schedules: ``"analytic"``/``"event"``,
-    #: or ``None`` to defer to the ``REPRO_SIM_ENGINE`` environment
-    #: variable (default analytic; see repro.sim.events).
-    sim_engine: str | None = None
     #: Functional-path executor for the grouped kernel: ``"serial"``
     #: (inline, the default), ``"process"`` / ``"process:N"`` (DPU
     #: groups fan out over N worker processes attached to shared-memory
@@ -526,6 +522,7 @@ class UpANNSEngine:
         if not self._built:
             raise NotTrainedError("build() must be called before search_batch()")
         qc, ic, uc = self.config.query, self.config.index, self.config.upanns
+        queries = validate_queries(queries, dim=ic.dim)
         k = k if k is not None else qc.k
         if nprobe is not None:
             if isinstance(nprobe, bool) or not isinstance(nprobe, int):
@@ -540,7 +537,6 @@ class UpANNSEngine:
                     "nprobe override conflicts with precomputed probes"
                 )
         eff_nprobe = nprobe if nprobe is not None else qc.nprobe
-        queries = np.ascontiguousarray(np.atleast_2d(queries), dtype=np.float32)
         nq = queries.shape[0]
         sizes = self._sizes
         assert sizes is not None and self.placement is not None
@@ -837,12 +833,9 @@ class UpANNSEngine:
             trace_ids=ctx.all_ids(),
         )
 
-        # Execute the work description through the selected core.  The
-        # analytic replay reproduces the historical record_at sequence
-        # bit-for-bit; the event core runs the same DAG through the
-        # discrete-event engine (identical here — a single batch's DAG
-        # admits no lane contention).
-        schedule = work.execute(resolve_sim_engine(self.sim_engine))
+        # Execute the work description through the event core (a single
+        # batch's DAG admits no lane contention).
+        schedule = work.execute()
 
         # Derived views: the legacy additive scalars and the Figure 19
         # stage breakdown (makespan DPU's stages + host-side stages) now

@@ -37,6 +37,7 @@ from repro.core.kernel import (
 from repro.core.memory_plan import HEAP_ENTRY_BYTES
 from repro.core.placement import Placement, place_clusters, random_placement
 from repro.core.scheduling import schedule_batch
+from repro.core.validation import validate_queries
 from repro.core.topk import (
     HeapStats,
     estimate_scan_stats,
@@ -63,7 +64,6 @@ from repro.sim import (
     STAGE_TRANSFER_IN,
     STAGE_TRANSFER_OUT,
     BatchWork,
-    resolve_sim_engine,
 )
 
 logger = logging.getLogger(__name__)
@@ -84,8 +84,6 @@ class IVFFlatPimEngine:
     placement: Placement | None = None
     _built: bool = False
     fault_state: FaultState | None = None
-    #: Execution core (``"analytic"``/``"event"``/None -> env default).
-    sim_engine: str | None = None
 
     def __post_init__(self) -> None:
         ic = self.config.index
@@ -238,7 +236,7 @@ class IVFFlatPimEngine:
             raise NotTrainedError("build() must be called before search_batch()")
         qc, ic, uc = self.config.query, self.config.index, self.config.upanns
         k = k if k is not None else qc.k
-        queries = np.ascontiguousarray(np.atleast_2d(queries), dtype=np.float32)
+        queries = validate_queries(queries, dim=ic.dim)
         nq = queries.shape[0]
         sizes = self.index.cluster_sizes()
         ctx = trace if trace is not None else TraceContext.for_batch(nq)
@@ -423,7 +421,7 @@ class IVFFlatPimEngine:
             trace_ids=ctx.all_ids(),
         )
 
-        schedule = work.execute(resolve_sim_engine(self.sim_engine))
+        schedule = work.execute()
         timing = schedule.derive_batch_timing()
         stage_seconds = stage_seconds_from_schedule(schedule, timing)
         observe_batch(

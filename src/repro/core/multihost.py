@@ -26,6 +26,7 @@ from repro.config import SystemConfig
 from repro.core.engine import UpANNSEngine, _degraded_result
 from repro.core.placement import Placement, place_clusters
 from repro.core.scheduling import schedule_batch
+from repro.core.validation import validate_queries
 from repro.errors import ConfigError, DpuFailedError, NotTrainedError
 from repro.sanitize.hook import debug_sanitize_schedule
 from repro.faults import (
@@ -48,7 +49,6 @@ from repro.sim import (
     STAGE_TRANSFER_OUT,
     BatchSchedule,
     BatchWork,
-    resolve_sim_engine,
 )
 from repro.telemetry.registry import get_registry
 
@@ -121,9 +121,6 @@ class MultiHostEngine:
     _sizes: np.ndarray | None = None
     _built: bool = False
     fault_state: FaultState | None = None
-    #: Execution core (``"analytic"``/``"event"``/None -> env default);
-    #: propagated to every member host engine at build/reshard time.
-    sim_engine: str | None = None
     # Retained build inputs so reshard() can rebuild surviving hosts.
     _vectors: np.ndarray | None = None
     _freqs: np.ndarray | None = None
@@ -238,7 +235,6 @@ class MultiHostEngine:
                 dtype=np.int64,
             )
             engine = UpANNSEngine(cfg)
-            engine.sim_engine = self.sim_engine
             engine.build(
                 self._vectors,
                 frequencies=freqs,
@@ -303,7 +299,7 @@ class MultiHostEngine:
         qc = self.host_configs[0].query
         ic = self.host_configs[0].index
         k = k if k is not None else qc.k
-        queries = np.ascontiguousarray(np.atleast_2d(queries), dtype=np.float32)
+        queries = validate_queries(queries, dim=ic.dim)
         nq = queries.shape[0]
         sizes = self._sizes
         assert sizes is not None and self.host_placement is not None
@@ -440,7 +436,7 @@ class MultiHostEngine:
             after=(gather_item,),
             trace_ids=ctx.all_ids(),
         )
-        schedule = work.execute(resolve_sim_engine(self.sim_engine))
+        schedule = work.execute()
 
         reg = get_registry()
         reg.counter(

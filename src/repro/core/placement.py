@@ -152,6 +152,10 @@ def place_clusters(
         )
 
     workloads = sizes * frequencies
+    if not np.isfinite(workloads).all() or (workloads < 0).any():
+        # The threshold relaxation below only terminates on finite,
+        # non-negative workloads.
+        raise ConfigError("cluster workloads must be finite and non-negative")
     mean_w = float(workloads.sum()) / n_dpus
 
     dpu_w = np.zeros(n_dpus, dtype=np.float64)
@@ -178,6 +182,16 @@ def place_clusters(
         stride = max(1, n_dpus // ncpy)
         base = d_id
         for j in range(ncpy):
+            # Capacity does not depend on thld: with no DPU able to hold
+            # another copy, relaxing the balance threshold cannot help.
+            if not any(
+                dpu_s[d] + sizes[c] <= max_dpu_vectors
+                for d in range(n_dpus)
+                if d not in placed
+            ):
+                raise PlacementError(
+                    f"cannot place cluster {c}: all DPUs at capacity"
+                )
             cursor = (base + j * stride) % n_dpus
             count = 0
             while True:
@@ -196,10 +210,6 @@ def place_clusters(
                 if count == n_dpus:
                     thld += threshold_rate
                     count = 0
-                    if thld > 1e6:  # capacity, not balance, is infeasible
-                        raise PlacementError(
-                            f"cannot place cluster {c}: all DPUs at capacity"
-                        )
         d_id = (base + 1) % n_dpus
         replicas[c] = placed
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.core.engine import BatchResult, UpANNSEngine
 from repro.core.scheduling import AdaptivePolicy
-from repro.core.validation import validate_queries
 from repro.errors import ConfigError, NotTrainedError
 from repro.metrics.latency import LatencyRecorder
 from repro.sanitize.hook import debug_sanitize_schedule
@@ -29,10 +28,8 @@ from repro.sim import (
     BatchSchedule,
     BatchWork,
     EventEngine,
-    compose,
     dpu_resource,
     execute_stream,
-    resolve_sim_engine,
 )
 from repro.telemetry.pipeline import observe_lane_stats, observe_query_latencies
 from repro.telemetry.registry import get_registry
@@ -41,6 +38,15 @@ from repro.tracing.record import query_latencies
 from repro.workload.trace import AccessTrace
 
 logger = logging.getLogger(__name__)
+
+
+def _row_count(queries: object) -> int:
+    """Rows a valid ``queries`` argument carries (0 when it is malformed:
+    the engine then rejects it with a typed error before using the ids)."""
+    try:
+        return int(np.atleast_2d(queries).shape[0])
+    except (TypeError, ValueError):
+        return 0
 
 
 @dataclass
@@ -83,14 +89,6 @@ class OnlineService:
     # Refresh placement at most once every this many batches (a real
     # deployment re-places 'every few days', not per batch).
     min_batches_between_refreshes: int = 1
-    # Execution core for the combined run-level schedule: "analytic"
-    # composes the recorded per-batch spans under the overlap policy;
-    # "event" re-executes the retained work descriptions through one
-    # discrete-event simulation, so cross-batch contention (batch N+1's
-    # transfer-in queuing behind batch N's bus occupancy) and mid-flight
-    # fault interruption emerge from queuing.  None defers to the
-    # REPRO_SIM_ENGINE environment variable.
-    sim_engine: str | None = None
     schedules: list[BatchSchedule] = field(default_factory=list)
     works: list[BatchWork] = field(default_factory=list)
     _snapshot: AccessTrace | None = None
@@ -103,8 +101,8 @@ class OnlineService:
     #: Next query ordinal: trace ids are assigned at intake and stay
     #: unique across every batch this service ever serves.
     _next_query: int = 0
-    #: Event engine retained by the last event-core combined run, so
-    #: its ``lane_stats`` survive for telemetry export.
+    #: Event engine retained by the last combined run, so its
+    #: ``lane_stats`` survive for telemetry export.
     last_event_engine: EventEngine | None = None
 
     def __post_init__(self) -> None:
@@ -132,28 +130,25 @@ class OnlineService:
         probing below the configured value for this batch only (the
         frontend's degrade response under overload).
         """
-        queries = validate_queries(queries, dim=self.engine.config.index.dim)
-        nq = int(queries.shape[0])
         if trace is None:
             # Trace intake: every query gets a service-unique id here, and
             # the batch index is the stream position the event core will
-            # re-stamp anyway — so span identities agree across both cores.
+            # re-stamp anyway.  The engine validates ``queries`` (and the
+            # id count) before any state changes; the counter advances
+            # only once the batch is accepted.
             ctx = TraceContext.for_batch(
-                nq, batch=len(self.works), start=self._next_query
+                _row_count(queries), batch=len(self.works), start=self._next_query
             )
-            self._next_query += nq
         else:
             if trace.batch != len(self.works):
                 raise ConfigError(
                     f"trace batch {trace.batch} does not match stream "
                     f"position {len(self.works)}"
                 )
-            if len(trace.trace_ids) != nq:
-                raise ConfigError(
-                    f"trace carries {len(trace.trace_ids)} ids for {nq} queries"
-                )
             ctx = trace
         result = self.engine.search_batch(queries, k=k, trace=ctx, nprobe=nprobe)
+        if trace is None:
+            self._next_query += len(ctx)
         if result.schedule is not None:
             self.schedules.append(result.schedule)
         if result.work is not None:
@@ -238,37 +233,25 @@ class OnlineService:
     def combined_schedule(self) -> BatchSchedule:
         """All served batches as one run-level schedule.
 
-        Analytic core: the recorded per-batch spans are composed under
-        this service's overlap policy.  Event core: the retained work
-        descriptions re-execute through one discrete-event run, where
-        the overlap policy only sets the cross-batch dependency shape
-        and the actual interleaving (bus queuing, mid-flight DPU-death
-        interruption at the recorded death batches) emerges from the
-        simulation.
+        The retained work descriptions re-execute through one
+        discrete-event run.  The overlap policy only sets the
+        cross-batch dependency shape; the actual interleaving (bus
+        queuing, mid-flight DPU-death interruption at the recorded
+        death batches) emerges from the simulation.
         """
-        if (
-            resolve_sim_engine(self.sim_engine) == "event"
-            and self.works
-            and len(self.works) == len(self.schedules)
-        ):
-            engine = EventEngine()
-            combined = execute_stream(
-                self.works,
-                overlap=self.overlap,
-                kills=self._stream_kills(),
-                engine=engine,
-            )
-            self.last_event_engine = engine
-            observe_lane_stats(engine.lane_stats, schedule=combined)
-            debug_sanitize_schedule(
-                combined, label=f"event stream {self.overlap} run"
-            )
-            return combined
-        combined = compose(self.schedules, self.overlap)
+        engine = EventEngine()
+        combined = execute_stream(
+            self.works,
+            overlap=self.overlap,
+            kills=self._stream_kills(),
+            engine=engine,
+        )
+        self.last_event_engine = engine
+        observe_lane_stats(engine.lane_stats, schedule=combined)
         # Per-batch schedules are sanitized inside the engine; this
-        # covers what composition itself can break (lane clamping,
+        # covers what stream execution can break (lane queuing,
         # cross-batch ordering).  No-op unless REPRO_SANITIZE is set.
-        debug_sanitize_schedule(combined, label=f"composed {self.overlap} run")
+        debug_sanitize_schedule(combined, label=f"event stream {self.overlap} run")
         return combined
 
     def _stream_kills(self) -> dict[str, int]:

@@ -1,11 +1,13 @@
 """Intake validation for query arrays.
 
-The serving surfaces (:meth:`OnlineService.submit
-<repro.core.service.OnlineService.submit>` and the ``repro.serving``
-frontend) funnel every externally supplied query array through
-:func:`validate_queries` before it reaches the engine, so malformed
-input fails with a typed :class:`~repro.errors.InvalidQueryError` at
-the door instead of a numpy traceback from deep inside the pipeline.
+Every public engine entry (``search_batch`` on the UpANNS, IVFFlat,
+multi-host and CPU/GPU baseline engines) funnels its query array
+through :func:`validate_queries` first, so malformed input fails with a
+typed :class:`~repro.errors.InvalidQueryError` at the door instead of a
+numpy traceback from deep inside the pipeline — including when it
+arrives through :meth:`OnlineService.submit
+<repro.core.service.OnlineService.submit>` or the ``repro.serving``
+frontend.
 """
 
 from __future__ import annotations

@@ -21,8 +21,6 @@ from repro.sim.span import PIM_BUS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.events import BatchWork
-    from repro.sim.schedule import BatchSchedule
-    from repro.sim.span import Span
 
 
 @dataclass
@@ -101,56 +99,10 @@ class PimSystem:
         """Pull per-DPU result buffers back to the host."""
         return self.host_transfer_seconds(list(per_dpu_bytes))
 
-    # --- Span-recording transfer API -----------------------------------
-    # The engines account transfer time by emitting spans onto the
-    # shared ``pim_bus`` lane of a schedule; these wrappers keep the
-    # timing model and the event emission in one place.
-
-    def record_broadcast(
-        self,
-        schedule: "BatchSchedule",
-        size_bytes: int,
-        *,
-        stage: str,
-        start_s: float | None = None,
-    ) -> "Span":
-        """Charge a same-buffer-to-all-DPUs push as a ``pim_bus`` span."""
-        seconds = self.broadcast_seconds(size_bytes)
-        if start_s is None:
-            return schedule.record(PIM_BUS, stage, seconds)
-        return schedule.record_at(PIM_BUS, stage, start_s, seconds)
-
-    def record_transfer(
-        self,
-        schedule: "BatchSchedule",
-        buffer_sizes: Sequence[int],
-        *,
-        stage: str,
-        start_s: float | None = None,
-    ) -> "Span":
-        """Charge a per-DPU buffer push/pull as a ``pim_bus`` span."""
-        stats = self.host_transfer_seconds(buffer_sizes)
-        if start_s is None:
-            return schedule.record(PIM_BUS, stage, stats.seconds)
-        return schedule.record_at(PIM_BUS, stage, start_s, stats.seconds)
-
-    def record_gather(
-        self,
-        schedule: "BatchSchedule",
-        per_dpu_bytes: Iterable[int],
-        *,
-        stage: str,
-        start_s: float | None = None,
-    ) -> "Span":
-        """Charge a per-DPU result pull as a ``pim_bus`` span."""
-        return self.record_transfer(
-            schedule, list(per_dpu_bytes), stage=stage, start_s=start_s
-        )
-
     # --- Work-emission transfer API --------------------------------------
-    # Event-core counterparts of the record_* wrappers: the engines now
-    # *describe* transfers as work items on the ``pim_bus`` lane and the
-    # execution core (analytic replay or discrete-event) places them.
+    # The engines *describe* transfers as work items on the shared
+    # ``pim_bus`` lane; these wrappers keep the timing model and the
+    # emission in one place, and the event core places the items.
 
     def work_broadcast(
         self,

@@ -1,10 +1,10 @@
 """SCHED001 — spans enter timelines only via ``BatchSchedule.record*``.
 
-``BatchSchedule.record`` / ``record_at`` / ``record_dpu_stages`` are the
-only constructors that keep the simulator's invariants: they clamp
-starts against per-resource lane ends (no double-booking by
-construction), derive DPU durations from cycles at the configured
-frequency, and keep the derived ledgers (``BatchTiming``,
+``BatchSchedule.record`` / ``record_at`` (driven by the event core from
+``BatchWork`` descriptions) are the only constructors that keep the
+simulator's invariants: they clamp starts against per-resource lane ends
+(no double-booking by construction), carry DPU durations derived from
+cycles at the configured frequency, and keep the derived ledgers (``BatchTiming``,
 ``StageCycles``) consistent with the spans.  A hand-built
 ``Span(...)`` appended to a timeline outside :mod:`repro.sim` bypasses
 all of that — it is exactly the class of bug the simsan dynamic checker
@@ -67,8 +67,8 @@ class SpanRecordingRule(Rule):
                     self.rule_id,
                     node,
                     "hand-constructed Span outside repro.sim — record it "
-                    "with BatchSchedule.record()/record_at()/"
-                    "record_dpu_stages() so lane clamping and derived "
+                    "with BatchSchedule.record()/record_at() (or describe "
+                    "it via BatchWork) so lane clamping and derived "
                     "ledgers stay correct",
                 )
             elif _is_spans_mutation(node.func):

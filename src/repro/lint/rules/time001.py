@@ -1,9 +1,9 @@
 """TIME001 — engines must not hand-sum seconds into timing fields.
 
 The timeline refactor moved all online-pipeline time accounting into
-``repro.sim.record`` / ``BatchSchedule``: timed work becomes a span on a
-resource lane, and the legacy additive scalars (``BatchTiming`` et al.)
-are *derived* from the spans.  Writing ``something.foo_s = ...`` (or
+``BatchWork.work()``: timed work becomes a work item that the event core
+executes into a span on a resource lane, and the legacy additive scalars
+(``BatchTiming`` et al.) are *derived* from the spans.  Writing ``something.foo_s = ...`` (or
 ``+=``) inside an engine module reintroduces the ad-hoc scalar
 accounting the refactor removed — the written value bypasses the
 schedule, so it never shows up in traces and can silently disagree with
@@ -46,7 +46,7 @@ def _in_scope(path: str) -> bool:
 class TimingAssignmentRule(Rule):
     rule_id = "TIME001"
     summary = (
-        "engine modules must route timed work through repro.sim.record, "
+        "engine modules must route timed work through BatchWork.work(), "
         "not hand-summed *_s attribute assignments"
     )
 
@@ -67,6 +67,6 @@ class TimingAssignmentRule(Rule):
                         self.rule_id,
                         node,
                         f"assignment to timing field .{target.attr} in an engine "
-                        "module — emit a span via repro.sim.record() on a "
-                        "BatchSchedule instead of hand-summing seconds",
+                        "module — describe the work via BatchWork.work() "
+                        "instead of hand-summing seconds",
                     )

@@ -355,7 +355,7 @@ def check_trace_partition(schedule: "BatchSchedule") -> list[SanFinding]:
 
 def _check_cycle_conservation(schedule: "BatchSchedule") -> list[SanFinding]:
     """DPU spans carry cycles; duration must equal ``cycles / f`` exactly
-    (that is the only way ``record_dpu_stages`` ever computes it)."""
+    (that is the only way ``BatchWork.work_dpu_stages`` ever computes it)."""
     freq = schedule.dpu_frequency_hz
     if freq is None or freq <= 0:
         return []

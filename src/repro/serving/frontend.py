@@ -328,12 +328,9 @@ class ServingFrontend:
     # --- Post-run accounting -------------------------------------------
 
     def _stream_schedule(self) -> tuple[BatchSchedule, EventEngine]:
-        """Execute the retained stream through the event core.
-
-        Always the event engine — queue-wait must emerge from genuine
-        lane contention, and arrival-time release is an event-core
-        concept (the analytic composer has no notion of idle gaps).
-        """
+        """Execute the retained stream through the event core, with
+        arrival-time release so queue-wait emerges from genuine lane
+        contention."""
         engine = EventEngine()
         combined = execute_stream(
             self.works,

@@ -1,28 +1,20 @@
-"""Timeline execution core: spans, per-resource timelines, schedules.
+"""Timeline execution core: work DAGs, spans, per-resource schedules.
 
-Engines emit timed work as :class:`Span` events onto per-resource
-timelines via :meth:`BatchSchedule.record` (or the module-level
-:func:`record` convenience).  Everything downstream — the legacy
-:class:`BatchTiming` scalars, stage breakdowns, overlap composition,
-Chrome-trace export — is derived from the recorded schedule.
+Engines describe timed work as a :class:`BatchWork` DAG via
+:meth:`BatchWork.work`; the discrete-event core (:class:`EventEngine`,
+:func:`execute_stream` for multi-batch streams) executes it into
+:class:`Span` events on per-resource timelines.  Everything downstream —
+the legacy :class:`BatchTiming` scalars, stage breakdowns, overlap
+modes, Chrome-trace export — is derived from the executed schedule.
 """
 
 from repro.sim.events import (
-    SIM_ENGINE_ENV,
-    SIM_ENGINES,
+    OVERLAP_MODES,
     BatchWork,
     EventEngine,
     LaneStats,
     WorkItem,
     execute_stream,
-    resolve_sim_engine,
-)
-from repro.sim.overlap import (
-    OVERLAP_MODES,
-    compose,
-    compose_double_buffer,
-    compose_sequential,
-    pipeline_wallclock,
 )
 from repro.sim.schedule import (
     STAGE_AGGREGATE,
@@ -50,26 +42,6 @@ from repro.sim.span import (
 from repro.sim.trace import chrome_trace, validate_chrome_trace
 
 
-def record(
-    schedule: BatchSchedule,
-    resource: str,
-    stage: str,
-    duration_s: float,
-    *,
-    cycles: float | None = None,
-    counters: object | None = None,
-) -> Span:
-    """Record one span of timed work onto ``schedule``.
-
-    This is the sanctioned way for engine code to account wall-clock
-    time (simlint rule TIME001 forbids hand-summing ``*_s`` scalars in
-    the online pipelines).
-    """
-    return schedule.record(
-        resource, stage, duration_s, cycles=cycles, counters=counters
-    )
-
-
 __all__ = [
     "BatchSchedule",
     "BatchTiming",
@@ -82,8 +54,6 @@ __all__ = [
     "OVERLAP_MODES",
     "PIM_BUS",
     "ResourceTimeline",
-    "SIM_ENGINES",
-    "SIM_ENGINE_ENV",
     "STAGE_AGGREGATE",
     "STAGE_CANCEL",
     "STAGE_CLUSTER_FILTER",
@@ -96,14 +66,8 @@ __all__ = [
     "SpanTrace",
     "WorkItem",
     "chrome_trace",
-    "compose",
-    "compose_double_buffer",
-    "compose_sequential",
     "dpu_resource",
     "execute_stream",
     "is_dpu_resource",
-    "pipeline_wallclock",
-    "record",
-    "resolve_sim_engine",
     "validate_chrome_trace",
 ]

@@ -1,7 +1,7 @@
 """Per-batch schedules: the collection of resource timelines for one batch.
 
 A :class:`BatchSchedule` owns one :class:`ResourceTimeline` per resource
-and exposes the ``record`` API the engines use to emit timed work.  The
+and exposes the ``record`` API the event core uses to place spans.  The
 legacy additive-scalar view (:class:`BatchTiming`) is *derived* from the
 schedule: summing span durations in append order reproduces the old
 accumulation bit-for-bit, and the DPU makespan is derived in cycle space
@@ -18,7 +18,6 @@ from repro.sim.span import (
     ResourceTimeline,
     Span,
     SpanTrace,
-    dpu_resource,
     is_dpu_resource,
 )
 
@@ -142,37 +141,6 @@ class BatchSchedule:
         )
         tl.append(span)
         return span
-
-    def record_dpu_stages(
-        self,
-        dpu_id: int,
-        stage_cycles: StageCycles,
-        *,
-        start_s: float | None = None,
-    ) -> list[Span]:
-        """Emit one span per kernel stage onto a DPU's lane.
-
-        Spans carry their cycle charge so derived makespans stay in
-        cycle space; they are recorded in :class:`StageCycles` field
-        order so the lane's ``busy_cycles`` replicates ``.total``.
-        """
-        if self.dpu_frequency_hz is None:
-            raise ConfigError("schedule has no dpu_frequency_hz for DPU spans")
-        resource = dpu_resource(dpu_id)
-        first_start = start_s if start_s is not None else self.timeline(resource).end
-        spans = []
-        for name, cyc in stage_cycles.as_dict().items():
-            spans.append(
-                self.record_at(
-                    resource,
-                    name,
-                    first_start,
-                    cyc / self.dpu_frequency_hz,
-                    cycles=cyc,
-                    counters=stage_cycles,
-                )
-            )
-        return spans
 
     # --- Aggregate views -----------------------------------------------
 

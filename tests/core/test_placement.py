@@ -56,6 +56,13 @@ class TestInvariants:
         with pytest.raises(PlacementError):
             place_clusters(sizes, freqs, 2, max_dpu_vectors=150)
 
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+    def test_invalid_workloads_rejected(self, bad):
+        freqs = np.full(4, 0.25)
+        freqs[2] = bad
+        with pytest.raises(ConfigError, match="non-negative"):
+            place_clusters(np.full(4, 10), freqs, 2, max_dpu_vectors=100)
+
     def test_misaligned_inputs(self):
         with pytest.raises(ConfigError):
             place_clusters(np.ones(3), np.ones(4), 2, max_dpu_vectors=10)

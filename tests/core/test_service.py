@@ -151,40 +151,35 @@ class TestAdaptation:
 
 
 class TestEventStream:
-    """The discrete-event core behind ``sim_engine='event'``."""
+    """Run-level schedules from the discrete-event stream core."""
 
     def test_sequential_event_stream_matches_composed_wallclock(
         self, small_dataset, trained_index, history_queries, small_queries
     ):
-        from repro.sim import compose
-
         service = OnlineService(
             engine=built_engine(small_dataset, trained_index, history_queries),
             overlap="sequential",
-            sim_engine="event",
         )
         for _ in range(3):
             service.submit(small_queries)
-        composed = compose(service.schedules, "sequential")
         assert service.wallclock_seconds() == pytest.approx(
-            composed.makespan, rel=1e-9
+            sum(s.makespan for s in service.schedules), rel=1e-9
         )
 
     def test_double_buffer_queues_behind_real_bus_occupancy(
         self, small_dataset, trained_index, history_queries, small_queries
     ):
         from repro.sanitize import sanitize_schedule
-        from repro.sim import PIM_BUS, STAGE_TRANSFER_IN, compose
+        from repro.sim import PIM_BUS, STAGE_TRANSFER_IN, execute_stream
 
         service = OnlineService(
             engine=built_engine(small_dataset, trained_index, history_queries),
             overlap="double_buffer",
-            sim_engine="event",
         )
         for _ in range(3):
             service.submit(small_queries)
         combined = service.combined_schedule()
-        sequential = compose(service.schedules, "sequential")
+        sequential = execute_stream(service.works, overlap="sequential")
         assert combined.makespan < sequential.makespan
         tins = sorted(
             (
@@ -204,17 +199,14 @@ class TestEventStream:
     ):
         """Double-buffered interleaving with retry traffic: each retry
         rides directly behind the transfer it repairs (no other batch's
-        transfer-in wedges in between) and the composed stream
-        sanitizes clean."""
+        transfer-in wedges in between) and the stream sanitizes clean."""
         from repro.faults import FaultPlan
         from repro.sanitize import sanitize_schedule
         from repro.sim import PIM_BUS, STAGE_RETRY, STAGE_TRANSFER_IN
 
         engine = built_engine(small_dataset, trained_index, history_queries)
         engine.inject(FaultPlan.from_specs([], seed=3, transfer_hazard=0.9))
-        service = OnlineService(
-            engine, overlap="double_buffer", sim_engine="event"
-        )
+        service = OnlineService(engine, overlap="double_buffer")
         for _ in range(3):
             service.submit(small_queries)
         combined = service.combined_schedule()
@@ -237,9 +229,7 @@ class TestEventStream:
         target = pick_replicated_unit(engine.placement)
         assert target is not None
         engine.inject(FaultPlan.from_specs([f"dpu:{target}@1"]))
-        service = OnlineService(
-            engine, overlap="double_buffer", sim_engine="event"
-        )
+        service = OnlineService(engine, overlap="double_buffer")
         for _ in range(3):
             service.submit(small_queries)
         assert engine.fault_state is not None
@@ -258,7 +248,6 @@ class TestEventStream:
     ):
         service = OnlineService(
             engine=built_engine(small_dataset, trained_index, history_queries),
-            sim_engine="event",
         )
         with pytest.raises(ValueError, match="empty"):
             service.combined_schedule()

@@ -5,8 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.cpu import CpuEngine
+from repro.baselines.gpu import GpuEngine
+from repro.config import IndexConfig, QueryConfig, SystemConfig, UpANNSConfig
+from repro.core.flat_engine import IVFFlatPimEngine
+from repro.core.multihost import MultiHostEngine
 from repro.core.validation import validate_queries
 from repro.errors import ConfigError, InvalidQueryError
+from repro.hardware.specs import PimSystemSpec
+from repro.ivfpq.ivfflat import IVFFlatIndex
 from repro.serving import AdmissionPolicy, Request, ServingFrontend, TenantConfig
 from repro.tracing.context import TraceContext
 
@@ -82,6 +89,30 @@ class TestServiceIntake:
         assert service.works == [] and service.schedules == []
         assert service.latency.n_batches == 0
 
+    @pytest.mark.parametrize("bad", ["nan", "dim", "ragged"])
+    def test_rejected_batch_keeps_trace_counter(
+        self, service, small_queries, bad
+    ):
+        """A rejected batch mints no trace ids: the next accepted batch
+        still starts at q000000."""
+        queries = {
+            "nan": np.full((3, DIM), np.nan, dtype=np.float32),
+            "dim": np.zeros((3, DIM + 1), dtype=np.float32),
+            "ragged": [[0.0] * DIM, [0.0] * (DIM - 1)],
+        }[bad]
+        with pytest.raises(InvalidQueryError):
+            service.submit(queries)
+        assert service.works == [] and service._next_query == 0
+        report = service.submit(small_queries[:4])
+        spans = [
+            s
+            for tl in report.result.schedule.timelines.values()
+            for s in tl.spans
+            if s.trace is not None
+        ]
+        ids = {t for s in spans for t in s.trace.trace_ids}
+        assert ids == {f"q{n:06d}" for n in range(4)}
+
     def test_trace_stream_position_mismatch_rejected(
         self, service, small_queries
     ):
@@ -139,3 +170,59 @@ class TestFrontendIntake:
         ]
         with pytest.raises(InvalidQueryError, match="non-finite"):
             frontend.run(requests)
+
+
+def _engine_cfg(**upanns) -> SystemConfig:
+    return SystemConfig(
+        index=IndexConfig(dim=DIM, n_clusters=32, m=8, train_iters=4),
+        query=QueryConfig(nprobe=8, k=5, batch_size=30),
+        upanns=UpANNSConfig(**upanns),
+        pim=PimSystemSpec(n_dimms=1, chips_per_dimm=2, dpus_per_chip=8),
+    )
+
+
+@pytest.fixture(scope="module")
+def engines(small_dataset, trained_index, history_queries):
+    """Every public engine, built once for the entry-validation matrix."""
+    flat_index = IVFFlatIndex(dim=DIM, n_clusters=32)
+    flat_index.train(small_dataset.vectors, n_iter=4, rng=np.random.default_rng(3))
+    flat_index.add(small_dataset.vectors)
+    flat = IVFFlatPimEngine(_engine_cfg(enable_cae=False))
+    flat.build(
+        small_dataset.vectors,
+        history_queries=history_queries,
+        prebuilt_index=flat_index,
+    )
+    multi = MultiHostEngine(host_configs=[_engine_cfg(), _engine_cfg()])
+    multi.build(
+        small_dataset.vectors,
+        history_queries=history_queries,
+        prebuilt_index=trained_index,
+    )
+    return {
+        "upanns": built_engine(small_dataset, trained_index, history_queries),
+        "flat": flat,
+        "multihost": multi,
+        "cpu": CpuEngine(trained_index),
+        "gpu": GpuEngine(trained_index),
+    }
+
+
+_BAD_QUERIES = {
+    "nan": (np.full((2, DIM), np.nan, dtype=np.float32), "non-finite"),
+    "dim_mismatch": (np.zeros((2, DIM + 3), dtype=np.float32), "dimension mismatch"),
+    "empty": (np.empty((0, DIM), dtype=np.float32), "empty"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_QUERIES))
+@pytest.mark.parametrize("name", ["upanns", "flat", "multihost", "cpu", "gpu"])
+def test_engine_entry_rejects_bad_queries(engines, name, bad):
+    """Every public ``search_batch`` fails typed at the door."""
+    queries, match = _BAD_QUERIES[bad]
+    engine = engines[name]
+    with pytest.raises(InvalidQueryError, match=match):
+        if name in ("cpu", "gpu"):
+            engine.search_batch(queries, 5, 8)
+        else:
+            engine.search_batch(queries)

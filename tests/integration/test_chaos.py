@@ -168,7 +168,7 @@ class TestReplicaFailover:
         work = BatchWork()
         tin = work.work(PIM_BUS, STAGE_TRANSFER_IN, 0.0)
         _retry_work(work, faults, state, [8, 8, 8, 8], 1e9, after=tin)
-        schedule = work.execute("analytic")
+        schedule = work.execute()
         spans = [
             s for s in schedule.timeline(PIM_BUS).spans if s.stage == STAGE_RETRY
         ]
@@ -333,41 +333,17 @@ class TestGoldenChaosRecord:
     def test_cli_scenario_matches_committed_record(self, tmp_path, capsys):
         """`repro.cli chaos --seed 7` reproduces the pinned record.
 
-        The core is pinned explicitly so the test stays meaningful when
-        the suite runs under ``REPRO_SIM_ENGINE=event``: the golden
-        records the analytic-core run.
+        The run itself also passes the in-CLI stream sanitize gate with
+        a mid-flight DPU death.
         """
         from repro.cli import main
 
         out = tmp_path / "chaos.json"
-        argv = ["-q", "chaos", "--seed", "7", "--sim-engine", "analytic"]
+        argv = ["-q", "chaos", "--seed", "7"]
         assert main([*argv, "--out", str(out)]) == 0
         capsys.readouterr()
         record = json.loads(out.read_text())
         golden = json.loads(GOLDEN_CHAOS_PATH.read_text())
-        assert record == golden
-
-    def test_event_core_matches_committed_record_modulo_engine(
-        self, tmp_path, capsys
-    ):
-        """The event core reproduces the same chaos accounting.
-
-        Per-batch schedules are bit-for-bit identical across cores
-        (golden-equivalence guarantee), so the whole record — retries,
-        coverage, recovery cost — must match the committed analytic one
-        except for the recorded core name.  The run itself also passes
-        the in-CLI stream sanitize gate with a mid-flight DPU death.
-        """
-        from repro.cli import main
-
-        out = tmp_path / "chaos_event.json"
-        argv = ["-q", "chaos", "--seed", "7", "--sim-engine", "event"]
-        assert main([*argv, "--out", str(out)]) == 0
-        capsys.readouterr()
-        record = json.loads(out.read_text())
-        golden = json.loads(GOLDEN_CHAOS_PATH.read_text())
-        assert record["config"].pop("sim_engine") == "event"
-        golden["config"].pop("sim_engine")
         assert record == golden
 
     def test_committed_record_validates(self):

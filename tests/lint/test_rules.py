@@ -575,7 +575,7 @@ class TestSCHED001:
             "s = Span('host_cpu', 'x', 0.0, 1.0)\n"
             "tl.spans.append(s)\n"
         )
-        assert self.ids_at(source, "src/repro/sim/overlap.py") == []
+        assert self.ids_at(source, "src/repro/sim/schedule.py") == []
 
     def test_allowed_paths_are_configurable(self):
         config = SimlintConfig(sched_allowed_paths=("repro/core/",))

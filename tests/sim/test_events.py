@@ -1,14 +1,15 @@
 """Discrete-event core: queuing, determinism, kills, stream execution.
 
-The event engine must (a) degenerate to the analytic replay on a
-contention-free DAG, (b) make cross-batch contention *emerge* from FIFO
-lane queuing rather than composition rules, and (c) interrupt work
-mid-flight on a fault while conserving cycles on the truncated span.
+The event engine must (a) make cross-batch contention *emerge* from FIFO
+lane queuing, (b) interrupt work mid-flight on a fault while conserving
+cycles on the truncated span, and (c) keep the stream invariants of the
+overlap modes on arbitrary engine-shaped batch streams.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dataclasses import replace
 
@@ -19,18 +20,16 @@ from repro.sim import (
     HOST_AGG,
     HOST_CPU,
     PIM_BUS,
-    SIM_ENGINE_ENV,
     STAGE_AGGREGATE,
     STAGE_CLUSTER_FILTER,
     STAGE_RETRY,
+    STAGE_SCHEDULE,
     STAGE_TRANSFER_IN,
     STAGE_TRANSFER_OUT,
     BatchWork,
     EventEngine,
     WorkItem,
-    compose,
     execute_stream,
-    resolve_sim_engine,
 )
 
 FREQ = 350e6
@@ -56,28 +55,6 @@ def make_batch_work(
     return work
 
 
-class TestResolveSimEngine:
-    def test_defaults_to_analytic(self, monkeypatch):
-        monkeypatch.delenv(SIM_ENGINE_ENV, raising=False)
-        assert resolve_sim_engine() == "analytic"
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(SIM_ENGINE_ENV, "event")
-        assert resolve_sim_engine() == "event"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SIM_ENGINE_ENV, "event")
-        assert resolve_sim_engine("analytic") == "analytic"
-
-    def test_unknown_rejected(self, monkeypatch):
-        monkeypatch.delenv(SIM_ENGINE_ENV, raising=False)
-        with pytest.raises(ConfigError):
-            resolve_sim_engine("quantum")
-        monkeypatch.setenv(SIM_ENGINE_ENV, "quantum")
-        with pytest.raises(ConfigError):
-            resolve_sim_engine()
-
-
 class TestBatchWork:
     def test_forward_dependency_rejected(self):
         work = BatchWork()
@@ -89,11 +66,6 @@ class TestBatchWork:
         uid = work.work(HOST_CPU, STAGE_CLUSTER_FILTER, 1.0, after=(None,))
         assert work.items[uid].deps == ()
 
-    def test_unknown_mode_rejected(self):
-        work = make_batch_work()
-        with pytest.raises(ConfigError):
-            work.execute("quantum")
-
     def test_dpu_stages_require_frequency(self):
         work = BatchWork()
         with pytest.raises(ConfigError):
@@ -101,25 +73,31 @@ class TestBatchWork:
 
 
 class TestDegenerateParity:
-    """A contention-free DAG executes identically under both cores."""
+    """A contention-free DAG executes to its closed-form schedule: every
+    item starts exactly when its last dependency ends."""
 
     def test_event_matches_analytic_bitwise(self):
-        analytic = make_batch_work().execute("analytic")
-        event = make_batch_work().execute("event")
-        assert list(analytic.timelines) == list(event.timelines)
-        for name, tl in analytic.timelines.items():
-            got = event.timelines[name].spans
-            assert len(tl.spans) == len(got)
-            for a, b in zip(tl.spans, got):
-                assert a.t0.hex() == b.t0.hex()
-                assert a.t1.hex() == b.t1.hex()
-                assert (a.stage, a.cycles) == (b.stage, b.cycles)
+        schedule = make_batch_work().execute()
+        spans = {
+            (s.resource, s.stage): (s.t0, s.t1)
+            for tl in schedule.timelines.values()
+            for s in tl.spans
+            if s.duration > 0.0
+        }
+        # filter 1 s -> transfer-in 2 s -> 1 s of DPU compute ->
+        # transfer-out 0.5 s -> aggregate 0.25 s, back to back.
+        assert spans == {
+            (HOST_CPU, STAGE_CLUSTER_FILTER): (0.0, 1.0),
+            (PIM_BUS, STAGE_TRANSFER_IN): (1.0, 3.0),
+            ("dpu/0", "distance_calc"): (3.0, 3.0 + 3.5e8 / FREQ),
+            (PIM_BUS, STAGE_TRANSFER_OUT): (4.0, 4.5),
+            (HOST_CPU, STAGE_AGGREGATE): (4.5, 4.75),
+        }
 
     def test_timing_scalars_match(self):
-        a = make_batch_work().execute("analytic").derive_batch_timing()
-        e = make_batch_work().execute("event").derive_batch_timing()
-        assert a.total_s == e.total_s
-        assert a.dpu_makespan_s == e.dpu_makespan_s
+        timing = make_batch_work().execute().derive_batch_timing()
+        assert timing.dpu_makespan_s == 3.5e8 / FREQ
+        assert timing.total_s == 1.0 + 2.0 + 3.5e8 / FREQ + 0.5 + 0.25
 
 
 class TestFifoQueuing:
@@ -243,13 +221,12 @@ class TestExecuteStream:
             execute_stream([make_batch_work()], overlap="triple_buffer")
 
     def test_sequential_matches_composed_makespan(self):
+        """A sequential stream is a barrier per batch: its makespan is
+        the sum of the batches' standalone makespans."""
         works = [make_batch_work() for _ in range(3)]
-        composed = compose(
-            [make_batch_work().execute("analytic") for _ in range(3)],
-            "sequential",
-        )
+        per_batch = sum(make_batch_work().execute().makespan for _ in range(3))
         stream = execute_stream(works, overlap="sequential")
-        assert stream.makespan == pytest.approx(composed.makespan, rel=1e-12)
+        assert stream.makespan == pytest.approx(per_batch, rel=1e-12)
         assert sanitize_schedule(stream) == []
 
     def test_double_buffer_overlaps_and_queues_on_the_bus(self):
@@ -269,7 +246,7 @@ class TestExecuteStream:
         assert len(tins) == 3
         for prev, cur in zip(tins, tins[1:]):
             assert cur.t0 >= prev.t1
-        # Aggregation moved to its own lane, like compose_double_buffer.
+        # Aggregation moved to its own host lane.
         assert len(stream.timeline(HOST_AGG).spans) == 3
         assert sanitize_schedule(stream) == []
 
@@ -309,19 +286,19 @@ class TestArrivalRelease:
     """Arrival-time work release: WorkItem.earliest + stream releases."""
 
     def test_item_earliest_honored_by_both_cores(self):
+        """Honored by a standalone batch and by a one-batch stream."""
         work = make_batch_work()
         work.items[0] = replace(work.items[0], earliest=5.0)
-        for mode in ("analytic", "event"):
-            schedule = work.execute(mode)
+        for schedule in (work.execute(), execute_stream([work])):
             head = schedule.timeline(HOST_CPU).spans[0]
-            assert head.t0 == pytest.approx(5.0), mode
+            assert head.t0 == pytest.approx(5.0)
             assert sanitize_schedule(schedule) == []
 
     def test_default_earliest_is_bit_compatible(self):
-        plain = make_batch_work().execute("event")
+        plain = make_batch_work().execute()
         explicit = make_batch_work()
         explicit.items = [replace(i, earliest=0.0) for i in explicit.items]
-        assert explicit.execute("event").makespan == plain.makespan
+        assert explicit.execute().makespan == plain.makespan
 
     def test_release_delays_batch_start(self):
         """A batch submitted at time t starts no earlier than t, even
@@ -378,3 +355,57 @@ class TestArrivalRelease:
             execute_stream(
                 [make_batch_work(), make_batch_work()], releases=[2.0, 1.0]
             )
+
+
+# --- Stream invariants over random engine-shaped batches -------------------
+
+_seconds = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
+_cycles = st.integers(0, 10**6).map(float)
+
+
+@st.composite
+def engine_shaped_work(draw) -> BatchWork:
+    """One batch DAG with the engines' shape: host prep, inbound bus
+    traffic (with optional pinned retries), per-DPU stage chains on a
+    random non-empty DPU subset, result gather and host aggregation."""
+    work = BatchWork(dpu_frequency_hz=FREQ)
+    host = work.work(HOST_CPU, STAGE_CLUSTER_FILTER, draw(_seconds))
+    host = work.work(HOST_CPU, STAGE_SCHEDULE, draw(_seconds), after=(host,))
+    bus = work.work(PIM_BUS, STAGE_TRANSFER_IN, draw(_seconds), after=(host,))
+    bus = work.work(PIM_BUS, STAGE_TRANSFER_IN, draw(_seconds), after=(bus,))
+    for _ in range(draw(st.integers(0, 2))):
+        bus = work.work(
+            PIM_BUS, STAGE_RETRY, draw(_seconds), after=(bus,), pinned=True
+        )
+    dpus = draw(st.lists(st.integers(0, 3), unique=True, min_size=1, max_size=4))
+    tails = [
+        work.work_dpu_stages(
+            d,
+            StageCycles(
+                lut_construction=draw(_cycles),
+                distance_calc=draw(_cycles),
+                topk_selection=draw(_cycles),
+            ),
+            after=(bus,),
+        )
+        for d in dpus
+    ]
+    gather = work.work(
+        PIM_BUS, STAGE_TRANSFER_OUT, draw(_seconds), after=tails
+    )
+    work.work(HOST_CPU, STAGE_AGGREGATE, draw(_seconds), after=(gather,))
+    return work
+
+
+@settings(max_examples=60, deadline=None)
+@given(works=st.lists(engine_shaped_work(), min_size=1, max_size=4))
+def test_stream_invariants(works):
+    """Sequential = sum of per-batch makespans; double buffering never
+    loses to it; both modes sanitize clean."""
+    per_batch = sum(w.execute().makespan for w in works)
+    seq = execute_stream(works, overlap="sequential")
+    db = execute_stream(works, overlap="double_buffer")
+    assert seq.makespan == pytest.approx(per_batch, rel=1e-12, abs=1e-12)
+    assert db.makespan <= seq.makespan * (1 + 1e-12) + 1e-12
+    assert sanitize_schedule(seq) == []
+    assert sanitize_schedule(db) == []

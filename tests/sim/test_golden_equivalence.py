@@ -201,11 +201,11 @@ class TestMultiHostGolden:
         assert validate_chrome_trace(result.schedule.to_chrome_trace()) == []
 
 
-def assert_schedules_bitwise_equal(analytic, event) -> None:
+def assert_schedules_bitwise_equal(first, second) -> None:
     """Same lanes in the same order, same spans bit-for-bit."""
-    assert list(analytic.timelines) == list(event.timelines)
-    for name, tl in analytic.timelines.items():
-        got = event.timelines[name].spans
+    assert list(first.timelines) == list(second.timelines)
+    for name, tl in first.timelines.items():
+        got = second.timelines[name].spans
         assert len(tl.spans) == len(got), name
         for a, b in zip(tl.spans, got):
             assert a.t0.hex() == b.t0.hex(), name
@@ -214,9 +214,10 @@ def assert_schedules_bitwise_equal(analytic, event) -> None:
 
 
 class TestEventCoreGolden:
-    """The event core is a *degenerate* mode on single batches: per-batch
-    DAGs admit no contention, so the discrete-event run must reproduce
-    the pinned analytic timings bit-for-bit for every engine."""
+    """The golden pins hold on warm caches too: a repeated batch (LUT
+    cache hits, memoized pair charges and gather plans) must execute to
+    the same pinned timings and the same schedule, bit-for-bit, as the
+    cold first run, for every engine."""
 
     @pytest.mark.parametrize("name", ["upanns", "pim_naive", "upanns_scaled"])
     def test_ivfpq_engines_bit_for_bit(
@@ -225,12 +226,11 @@ class TestEventCoreGolden:
         engine = build_ivfpq(
             name, small_dataset, history_queries, trained_index
         )
-        engine.sim_engine = "analytic"
-        analytic = engine.search_batch(small_queries)
-        engine.sim_engine = "event"
-        event = engine.search_batch(small_queries)
-        assert_timing_golden(event, GOLDEN[name])
-        assert_schedules_bitwise_equal(analytic.schedule, event.schedule)
+        cold = engine.search_batch(small_queries)
+        warm = engine.search_batch(small_queries)
+        assert_timing_golden(cold, GOLDEN[name])
+        assert_timing_golden(warm, GOLDEN[name])
+        assert_schedules_bitwise_equal(cold.schedule, warm.schedule)
 
     def test_flat_engine_bit_for_bit(
         self, small_dataset, history_queries, flat_index, small_queries
@@ -248,12 +248,10 @@ class TestEventCoreGolden:
             history_queries=history_queries,
             prebuilt_index=flat_index,
         )
-        engine.sim_engine = "analytic"
-        analytic = engine.search_batch(small_queries)
-        engine.sim_engine = "event"
-        event = engine.search_batch(small_queries)
-        assert_timing_golden(event, GOLDEN["flat"])
-        assert_schedules_bitwise_equal(analytic.schedule, event.schedule)
+        cold = engine.search_batch(small_queries)
+        warm = engine.search_batch(small_queries)
+        assert_timing_golden(warm, GOLDEN["flat"])
+        assert_schedules_bitwise_equal(cold.schedule, warm.schedule)
 
     def test_multihost_bit_for_bit(
         self, small_dataset, history_queries, trained_index, small_queries
@@ -266,17 +264,8 @@ class TestEventCoreGolden:
             history_queries=history_queries,
             prebuilt_index=trained_index,
         )
-
-        def set_mode(mode: str) -> None:
-            engine.sim_engine = mode
-            for host in engine.hosts:
-                if host is not None:
-                    host.sim_engine = mode
-
-        set_mode("analytic")
-        analytic = engine.search_batch(small_queries)
-        set_mode("event")
-        event = engine.search_batch(small_queries)
+        cold = engine.search_batch(small_queries)
+        warm = engine.search_batch(small_queries)
         golden = GOLDEN["multihost"]
         for name in (
             "coordinator_filter_s",
@@ -285,5 +274,5 @@ class TestEventCoreGolden:
             "gather_s",
             "merge_s",
         ):
-            assert getattr(event, name) == float.fromhex(golden[name]), name
-        assert_schedules_bitwise_equal(analytic.schedule, event.schedule)
+            assert getattr(warm, name) == float.fromhex(golden[name]), name
+        assert_schedules_bitwise_equal(cold.schedule, warm.schedule)

@@ -10,12 +10,12 @@ from repro.sim import (
     HOST_CPU,
     PIM_BUS,
     BatchSchedule,
+    BatchWork,
     ResourceTimeline,
     Span,
     chrome_trace,
     dpu_resource,
     is_dpu_resource,
-    record,
     validate_chrome_trace,
 )
 
@@ -88,31 +88,26 @@ class TestBatchSchedule:
         assert sched.makespan == 3.0
         assert sched.makespan == max(tl.end for tl in sched.timelines.values())
 
-    def test_module_level_record_helper(self):
-        sched = BatchSchedule()
-        span = record(sched, HOST_CPU, "a", 0.5)
-        assert sched.timeline(HOST_CPU).spans == [span]
-
     def test_dpu_stages_require_frequency(self):
-        sched = BatchSchedule()
+        work = BatchWork()
         with pytest.raises(ConfigError):
-            sched.record_dpu_stages(0, StageCycles(distance_calc=100.0))
+            work.work_dpu_stages(0, StageCycles(distance_calc=100.0))
 
     def test_dpu_stage_spans_carry_cycles(self):
-        sched = BatchSchedule(dpu_frequency_hz=350e6)
+        work = BatchWork(dpu_frequency_hz=350e6)
         stage = StageCycles(lut_construction=70.0, distance_calc=350.0)
-        sched.record_dpu_stages(0, stage)
+        work.work_dpu_stages(0, stage)
+        sched = work.execute()
         lane = sched.timeline(dpu_resource(0))
         assert lane.busy_cycles() == stage.total
         timing = sched.derive_batch_timing()
         assert timing.dpu_makespan_s == stage.total / 350e6
 
     def test_worst_dpu_matches_first_strict_max(self):
-        sched = BatchSchedule(dpu_frequency_hz=350e6)
-        sched.record_dpu_stages(0, StageCycles(distance_calc=100.0))
-        sched.record_dpu_stages(1, StageCycles(distance_calc=300.0))
-        sched.record_dpu_stages(2, StageCycles(distance_calc=300.0))
-        worst = sched.worst_dpu_stage_cycles()
+        work = BatchWork(dpu_frequency_hz=350e6)
+        for d, cycles in enumerate((100.0, 300.0, 300.0)):
+            work.work_dpu_stages(d, StageCycles(distance_calc=cycles))
+        worst = work.execute().worst_dpu_stage_cycles()
         assert worst.distance_calc == 300.0
 
     def test_empty_schedule_derives_zero_timing(self):
@@ -122,16 +117,16 @@ class TestBatchSchedule:
 
 class TestChromeTrace:
     def make_schedule(self) -> BatchSchedule:
-        sched = BatchSchedule(dpu_frequency_hz=350e6)
-        sched.record(HOST_CPU, "cluster_filter", 1e-4)
-        sched.record(HOST_CPU, "schedule", 2e-5)
-        sched.record_at(PIM_BUS, "transfer_in", sched.timeline(HOST_CPU).end, 5e-5)
-        sched.record_dpu_stages(
+        work = BatchWork(dpu_frequency_hz=350e6)
+        host = work.work(HOST_CPU, "cluster_filter", 1e-4)
+        host = work.work(HOST_CPU, "schedule", 2e-5, after=(host,))
+        tin = work.work(PIM_BUS, "transfer_in", 5e-5, after=(host,))
+        work.work_dpu_stages(
             0,
             StageCycles(lut_construction=100.0, distance_calc=900.0),
-            start_s=sched.timeline(PIM_BUS).end,
+            after=(tin,),
         )
-        return sched
+        return work.execute()
 
     def test_trace_is_valid(self):
         payload = chrome_trace(self.make_schedule())
