@@ -34,6 +34,7 @@ from repro.core.engine import UpANNSEngine
 from repro.data.loader import read_vecs, write_vecs
 from repro.data.synthetic import ALL_SPECS, make_dataset, make_queries
 from repro.data.skew import zipf_weights
+from repro.errors import ReproError
 from repro.hardware.specs import TABLE1_ROWS, UPMEM_7_DIMMS
 from repro.ivfpq import IVFPQIndex
 from repro.ivfpq.io import load_index, save_index
@@ -1245,7 +1246,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     telemetry.configure(args.verbose - args.quiet)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        # A library-rejected input is a usage error, not a crash.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -45,17 +45,44 @@ class Combination:
         return tuple(range(self.start_pos, self.start_pos + len(self.codes)))
 
 
+@dataclass(frozen=True)
+class PackedCombos:
+    """A cluster's combinations in gather form.
+
+    Row ``s`` of ``pos`` / ``codes`` lists the LUT (row, column) of each
+    element of the combination cached in slot ``s`` (the miner numbers
+    slots 0..n-1, so the row is the slot).  Combos all share one length,
+    so the rows pack into dense (n_slots, length) matrices.  This is
+    all the online partial-sum step needs; ``repro.parallel`` workers
+    hold it as shared-memory views.
+    """
+
+    pos: np.ndarray
+    codes: np.ndarray
+
+    @property
+    def n_slots(self) -> int:
+        return int(self.pos.shape[0])
+
+    def partial_sums(self, luts: np.ndarray) -> np.ndarray:
+        """(rows, m, ksub) LUT stack -> (rows, n_slots) float64 sums.
+
+        One gather over every row, then a float64 sum over each
+        combination's <= MAX_COMBO_LENGTH elements: the same
+        left-to-right chain per row as a single-LUT gather, so a row's
+        sums do not depend on which other rows share the call.
+        """
+        return luts[:, self.pos, self.codes].sum(axis=2, dtype=np.float64)
+
+
 @dataclass
 class CooccurrenceModel:
     """The mined combinations of one cluster, slot-indexed."""
 
     m: int  # sub-quantizer count of the underlying PQ
     combos: list[Combination]
-    # Lazily packed (positions, codes, slots) index matrices for the
-    # vectorized partial-sum gather; rebuilt only if combos change.
-    _packed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
+    # Lazily packed gather form; rebuilt only if combos change.
+    _packed: PackedCombos | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_slots(self) -> int:
@@ -78,22 +105,19 @@ class CooccurrenceModel:
             tables.setdefault(combo.start_pos, {})[combo.codes] = combo.slot
         return tables
 
-    def _packed_indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(positions, codes, slots) matrices for the gather form of
-        :meth:`partial_sums`; combos all share one length, so the rows
-        pack into dense (n_slots, length) matrices."""
+    @property
+    def packed(self) -> PackedCombos:
+        """The combinations in gather form, one row per slot."""
         if self._packed is None:
             length = self.combo_length
             pos = np.empty((self.n_slots, length), dtype=np.int64)
             codes = np.empty((self.n_slots, length), dtype=np.int64)
-            slots = np.empty(self.n_slots, dtype=np.int64)
-            for row, combo in enumerate(self.combos):
-                pos[row] = np.arange(
+            for combo in self.combos:
+                pos[combo.slot] = np.arange(
                     combo.start_pos, combo.start_pos + length, dtype=np.int64
                 )
-                codes[row] = combo.codes
-                slots[row] = combo.slot
-            self._packed = (pos, codes, slots)
+                codes[combo.slot] = combo.codes
+            self._packed = PackedCombos(pos=pos, codes=codes)
         return self._packed
 
     def partial_sums(self, lut: np.ndarray) -> np.ndarray:
@@ -110,33 +134,7 @@ class CooccurrenceModel:
         """
         if lut.shape[0] != self.m:
             raise ConfigError(f"LUT rows {lut.shape[0]} != m {self.m}")
-        if not self.combos:
-            return np.zeros(0, dtype=np.float32)
-        pos, codes, slots = self._packed_indices()
-        return partial_sums_from_packed(lut, pos, codes, slots, self.n_slots)
-
-
-def partial_sums_from_packed(
-    lut: np.ndarray,
-    pos: np.ndarray,
-    codes: np.ndarray,
-    slots: np.ndarray,
-    n_slots: int,
-) -> np.ndarray:
-    """Per-slot partial sums from pre-packed index matrices.
-
-    The functional core of :meth:`CooccurrenceModel.partial_sums`,
-    callable from contexts that hold only the packed ``(pos, codes,
-    slots)`` arrays — the ``repro.parallel`` workers rebuild flat tables
-    from shared-memory views of exactly these matrices.  Bit-identical
-    to the method: same gather, same float64 row sum, same cast.
-    """
-    sums = np.zeros(n_slots, dtype=np.float32)
-    if n_slots == 0 or pos.shape[0] == 0:
-        return sums
-    vals = lut[pos, codes]
-    sums[slots] = vals.sum(axis=1, dtype=np.float64).astype(np.float32)
-    return sums
+        return self.packed.partial_sums(lut[None]).astype(np.float32)[0]
 
 
 MAX_COMBO_LENGTH = 7  # packing limit: 7 uint8 codes per int64 key

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.core.cooccurrence import CooccurrenceModel
+from repro.core.cooccurrence import CooccurrenceModel, PackedCombos
 
 
 @dataclass
@@ -144,17 +144,27 @@ def encode_cluster(codes: np.ndarray, model: CooccurrenceModel) -> EncodedCluste
     )
 
 
-def build_flat_table(lut: np.ndarray, model: CooccurrenceModel) -> np.ndarray:
+def build_flat_table(
+    lut: np.ndarray, model: CooccurrenceModel | PackedCombos
+) -> np.ndarray:
     """Runtime flat table = flattened LUT ++ cached partial sums.
 
     Built once per (query, cluster) after LUT construction; the direct
-    addresses of :func:`encode_cluster` index straight into it.
+    addresses of :func:`encode_cluster` index straight into it.  ``lut``
+    is one (m, ksub) LUT, giving one flat table, or a (rows, m, ksub)
+    stack of one cluster's LUTs, giving a (rows, table_size) block whose
+    rows are the flat tables: every row's partial sums come from one
+    gather, written beside its LUT copy in the same block.
     """
-    m, ksub = lut.shape
+    packed = model.packed if isinstance(model, CooccurrenceModel) else model
+    luts = lut[None] if lut.ndim == 2 else lut
+    rows, m, ksub = luts.shape
     if ksub != 256:
         raise ConfigError("direct addressing assumes 256-entry codebooks")
-    sums = model.partial_sums(lut)
-    return np.concatenate([lut.reshape(-1).astype(np.float32), sums])
+    flat = np.empty((rows, m * ksub + packed.n_slots), dtype=np.float32)
+    flat[:, : m * ksub] = luts.reshape(rows, m * ksub)
+    flat[:, m * ksub :] = packed.partial_sums(luts)
+    return flat[0] if lut.ndim == 2 else flat
 
 
 def decode_distances(encoded: EncodedCluster, flat_table: np.ndarray) -> np.ndarray:

@@ -29,17 +29,16 @@ from repro.faults import (
     restrict_placement,
 )
 from repro.core.cooccurrence import mine_combinations
-from repro.core.encoding import build_flat_table, encode_cluster
+from repro.core.encoding import encode_cluster
 from repro.core.kernel import (
     ClusterPayload,
     DpuWorkLog,
-    GatherPlanCache,
     KernelConfig,
     replay_batch_charges,
     run_batch_on_dpu,
     run_query_on_dpu,
 )
-from repro.core.lut_cache import LutCache, query_digest
+from repro.core.lut_cache import LutCache, build_tables
 from repro.core.memory_plan import WramPlan, plan_wram
 from repro.core.placement import Placement, place_clusters, random_placement
 from repro.core.scheduling import Assignment, schedule_batch
@@ -166,9 +165,6 @@ class UpANNSEngine:
     # Memoized per-cluster visit charges for the grouped kernel, keyed
     # (cluster_id, n_tasklets); cleared with the LUT cache.
     _pair_charges: dict = field(default_factory=dict)
-    # Memoized fused-gather plans for the grouped kernel (cross-batch,
-    # query-independent); cleared with the LUT cache.
-    _gather_plans: GatherPlanCache = field(default_factory=GatherPlanCache)
     # Monotonic epoch for worker-side caches: bumped whenever the
     # cross-batch caches are cleared so pool workers drop theirs too.
     _cache_epoch: int = 0
@@ -408,7 +404,6 @@ class UpANNSEngine:
         if self.lut_cache is not None:
             self.lut_cache.clear()
         self._pair_charges.clear()
-        self._gather_plans.clear()
         self._cache_epoch += 1
 
     def close(self) -> None:
@@ -658,14 +653,10 @@ class UpANNSEngine:
         centroids = self.index.ivf.centroids
         self.pim.reset_counters()
         if uc.kernel_mode == "grouped":
-            # Vectorized path: per-(query, cluster) functional tables
-            # come from the cross-batch LUT cache, then each DPU's whole
-            # worklist executes in fused NumPy ops.  Charges are
-            # replayed pair-by-pair, so the ledger matches the loop.
-            # The table build runs in the parent under every executor
-            # backend, so LUT-cache state (hits, misses, eviction order)
-            # is identical whether workers recompute tables or not.
-            tables = self._build_tables(queries, probes_exec, centroids)
+            # Vectorized path: each DPU's whole worklist executes in
+            # fused NumPy ops over per-(query, cluster) functional
+            # tables.  Charges are replayed pair-by-pair, so the ledger
+            # matches the loop.
             dpu_groups: list[tuple[int, list[tuple[int, list[ClusterPayload]]]]] = []
             for d, pairs in enumerate(assignment.per_dpu):
                 if not pairs:
@@ -677,6 +668,22 @@ class UpANNSEngine:
                     by_query.setdefault(qi, []).append(self._payloads[c])
                 if by_query:
                     dpu_groups.append((d, list(by_query.items())))
+            # The table build runs in the parent under every executor
+            # backend, so LUT-cache state (hits, misses, eviction order)
+            # is identical whether workers recompute tables or not.
+            tables = build_tables(
+                self.index.pq,
+                centroids,
+                queries,
+                (
+                    (qi, [p.cluster_id for p in payloads])
+                    for _d, groups in dpu_groups
+                    for qi, payloads in groups
+                ),
+                lambda c: self._payloads[c].packed_combos,
+                self.lut_cache,
+                self._codebook_version,
+            )
             runtime = self._resolve_executor_runtime()
             if runtime is not None and dpu_groups:
                 # Parallel functional execution: workers compute each
@@ -687,7 +694,6 @@ class UpANNSEngine:
                     functional = runtime.compute(
                         dpu_groups,
                         queries,
-                        probes_exec,
                         k=kernel_cfg.k,
                         n_tasklets=kernel_cfg.n_tasklets,
                         prune=kernel_cfg.prune_topk,
@@ -723,7 +729,6 @@ class UpANNSEngine:
                         kernel_cfg,
                         tables,
                         charge_cache=self._pair_charges,
-                        plan_cache=self._gather_plans,
                     )
                 for (qi, payloads), out in zip(groups, outs):
                     partials[qi].append((out.ids, out.distances))
@@ -895,69 +900,6 @@ class UpANNSEngine:
             degraded=degraded,
             work=work,
         )
-
-    def _build_tables(
-        self,
-        queries: np.ndarray,
-        probes_exec,
-        centroids: np.ndarray,
-    ) -> dict[int, dict[int, np.ndarray]]:
-        """Per-(query, cluster) functional tables via the LUT cache.
-
-        The table is what the distance stage consumes: the (m, ksub) LUT
-        for a plain cluster, the flat [LUT | partial sums] table for a
-        CAE cluster.  Hits reuse the bytes computed in an earlier batch;
-        misses are built in one vectorized ``compute_luts`` call per
-        query and written through.  Modeled DPU cost is unaffected — the
-        kernel charges full LUT construction on every visit.
-        """
-        from repro.ivfpq.lut import build_luts_for_probes
-
-        cache = self.lut_cache
-        version = self._codebook_version
-        use_cache = cache is not None and cache.enabled
-        tables: dict[int, dict[int, np.ndarray]] = {}
-        for qi in range(queries.shape[0]):
-            probe_ids = np.asarray(probes_exec[qi], dtype=np.int64)
-            per_q: dict[int, np.ndarray] = {}
-            tables[qi] = per_q
-            if probe_ids.size == 0:
-                continue
-            digest = None
-            if use_cache:
-                assert cache is not None
-                digest = query_digest(queries[qi])
-                probe_list = [int(c) for c in probe_ids]
-                cached = cache.get_many(
-                    [(digest, c, version) for c in probe_list]
-                )
-                missing = []
-                for c, hit in zip(probe_list, cached):
-                    if hit is not None:
-                        per_q[c] = hit
-                    else:
-                        missing.append(c)
-            else:
-                missing = [int(c) for c in probe_ids]
-            if not missing:
-                continue
-            luts = build_luts_for_probes(
-                self.index.pq,
-                queries[qi],
-                centroids,
-                np.asarray(missing, dtype=np.int64),
-            )
-            for j, c in enumerate(missing):
-                payload = self._payloads[c]
-                if payload.is_cae and payload.cooc is not None:
-                    table = build_flat_table(luts[j], payload.cooc)
-                else:
-                    table = luts[j]
-                per_q[c] = table
-                if digest is not None:
-                    assert cache is not None
-                    cache.put((digest, c, version), table)
-        return tables
 
     # ------------------------------------------------------------------
     # Fault injection (repro.faults)

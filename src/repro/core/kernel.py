@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.core.encoding import EncodedCluster, build_flat_table
-from repro.core.cooccurrence import CooccurrenceModel
+from repro.core.cooccurrence import CooccurrenceModel, PackedCombos
 from repro.core.topk import (
     HeapStats,
     estimate_scan_stats,
@@ -123,6 +123,11 @@ class ClusterPayload:
     @property
     def size(self) -> int:
         return int(self.ids.shape[0])
+
+    @property
+    def packed_combos(self) -> PackedCombos | None:
+        """This CAE cluster's combinations in gather form; None if plain."""
+        return self.cooc.packed if self.cooc is not None else None
 
     @property
     def is_cae(self) -> bool:
@@ -490,54 +495,8 @@ def _gather_sum(table: np.ndarray, gidx: np.ndarray, base: np.ndarray) -> np.nda
     return dists
 
 
-class GatherPlanCache:
-    """Byte-bounded memo of worklist gather plans (functional-path only).
-
-    The fused ADC gathers of :func:`compute_pair_distances` concatenate
-    per-payload index arrays (gather offsets / safe addresses) and base
-    offsets whose values depend only on the *payloads* in worklist
-    order, never on the queries — so repeat traffic over a stable
-    placement rebuilds identical multi-hundred-MB index concatenations
-    every batch.  This cache keys them by (encoding kind, row width,
-    ordered cluster-id tuple) and replays them.
-
-    Insertion-only with a byte cap: worklists are stable across repeat
-    traffic, so eviction churn would only add nondeterministic memory
-    pressure — once full, new plans are simply not retained.  Cleared
-    alongside the LUT cache (placement/index changes invalidate the
-    payload arrays the plans index into).
-    """
-
-    def __init__(self, capacity_bytes: int = 1 << 30):
-        self.capacity_bytes = int(capacity_bytes)
-        self._plans: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._bytes = 0
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    @property
-    def nbytes(self) -> int:
-        return self._bytes
-
-    def get(self, key: tuple) -> tuple[np.ndarray, np.ndarray] | None:
-        return self._plans.get(key)
-
-    def put(self, key: tuple, plan: tuple[np.ndarray, np.ndarray]) -> None:
-        size = sum(int(a.nbytes) for a in plan)
-        if self._bytes + size > self.capacity_bytes:
-            return
-        self._plans[key] = plan
-        self._bytes += size
-
-    def clear(self) -> None:
-        self._plans.clear()
-        self._bytes = 0
-
-
 def compute_pair_distances(
     pairs: list[tuple[ClusterPayload, np.ndarray]],
-    plan_cache: GatherPlanCache | None = None,
 ) -> list[np.ndarray]:
     """Fused ADC over many (payload, table) pairs.
 
@@ -546,11 +505,9 @@ def compute_pair_distances(
     encoding and padded row width, so each row's gather and axis-1
     reduction run over exactly the same element sequence as the
     per-pair :func:`adc_distances` / :func:`adc_distances_direct` call
-    — the outputs are bit-identical.
-
-    ``plan_cache`` optionally memoizes the query-independent halves of
-    each fused gather (concatenated index arrays + base offsets) across
-    batches; the table values themselves are rebuilt every call.
+    — the outputs are bit-identical.  The fused gather indices are
+    concatenated each call from the per-payload index arrays, which the
+    payloads memoize.
     """
     out: list[np.ndarray] = [None] * len(pairs)  # type: ignore[list-item]
     groups: dict[tuple[str, int], list[int]] = {}
@@ -577,26 +534,16 @@ def compute_pair_distances(
                 )
             continue
         sizes = [pairs[i][0].size for i in idxs]
-        plan_key: tuple | None = None
-        plan = None
-        if plan_cache is not None:
-            plan_key = (kind, width, tuple(pairs[i][0].cluster_id for i in idxs))
-            plan = plan_cache.get(plan_key)
         if kind == "plain":
             ksub = pairs[idxs[0]][1].shape[1]
             m = pairs[idxs[0]][0].codes.shape[1]
-            if plan is None:
-                gidx = np.concatenate(
-                    [pairs[i][0].adc_gather_indices(ksub) for i in idxs]
-                )
-                base = np.repeat(
-                    np.arange(len(idxs), dtype=np.int32) * np.int32(m * ksub),
-                    sizes,
-                )
-                if plan_cache is not None and plan_key is not None:
-                    plan_cache.put(plan_key, (gidx, base))
-            else:
-                gidx, base = plan
+            gidx = np.concatenate(
+                [pairs[i][0].adc_gather_indices(ksub) for i in idxs]
+            )
+            base = np.repeat(
+                np.arange(len(idxs), dtype=np.int32) * np.int32(m * ksub),
+                sizes,
+            )
             flat = np.concatenate([pairs[i][1].reshape(-1) for i in idxs])
             dists = _gather_sum(flat, gidx, base)
         else:
@@ -608,24 +555,16 @@ def compute_pair_distances(
                 parts.append(pairs[i][1])
                 parts.append(_SENTINEL_ZERO)
             tables = np.concatenate(parts)
-            if plan is None:
-                # Table lengths are payload-determined (m * ksub plus
-                # the cluster's slot count), so the base offsets are
-                # query-independent and cacheable with the addresses.
-                safes: list[np.ndarray] = []
-                table_lens = np.empty(len(idxs), dtype=np.int64)
-                for j, i in enumerate(idxs):
-                    payload, table = pairs[i]
-                    table_lens[j] = table.shape[0]
-                    safes.append(payload.adc_safe_addresses(table.shape[0]))
-                starts = np.zeros(len(idxs), dtype=np.int64)
-                np.cumsum(table_lens[:-1] + 1, out=starts[1:])
-                base = np.repeat(starts.astype(np.int32), sizes)
-                gidx = np.concatenate(safes)
-                if plan_cache is not None and plan_key is not None:
-                    plan_cache.put(plan_key, (gidx, base))
-            else:
-                gidx, base = plan
+            safes: list[np.ndarray] = []
+            table_lens = np.empty(len(idxs), dtype=np.int64)
+            for j, i in enumerate(idxs):
+                payload, table = pairs[i]
+                table_lens[j] = table.shape[0]
+                safes.append(payload.adc_safe_addresses(table.shape[0]))
+            starts = np.zeros(len(idxs), dtype=np.int64)
+            np.cumsum(table_lens[:-1] + 1, out=starts[1:])
+            base = np.repeat(starts.astype(np.int32), sizes)
+            gidx = np.concatenate(safes)
             dists = _gather_sum(tables, gidx, base)
         start = 0
         for i, size in zip(idxs, sizes):
@@ -641,7 +580,6 @@ def compute_groups_functional(
     n_tasklets: int,
     *,
     prune: bool = True,
-    plan_cache: GatherPlanCache | None = None,
 ) -> tuple[list[tuple[np.ndarray, np.ndarray, HeapStats]], np.ndarray]:
     """Pure functional half of the grouped kernel: distances + top-k.
 
@@ -659,7 +597,7 @@ def compute_groups_functional(
         for payload in payloads:
             pair_list.append((payload, tables[qi][payload.cluster_id]))
             all_payloads.append(payload)
-    dists = compute_pair_distances(pair_list, plan_cache=plan_cache)
+    dists = compute_pair_distances(pair_list)
 
     # Pairs are already laid out in group order, so the per-group
     # candidate slices are just contiguous runs of one flat array.
@@ -689,7 +627,6 @@ def run_batch_on_dpu(
     cfg: KernelConfig,
     tables: dict[int, dict[int, np.ndarray]],
     charge_cache: dict[tuple[int, int], PairCharges] | None = None,
-    plan_cache: GatherPlanCache | None = None,
 ) -> list[QueryKernelOutput]:
     """Grouped entry point: all (query, cluster) pairs of one DPU at once.
 
@@ -707,8 +644,7 @@ def run_batch_on_dpu(
     calls (and batches): :class:`PairCharges` keyed by (cluster id,
     tasklet count), plus whole-group aggregates keyed by the group's
     ordered cluster-id tuple so repeat traffic replays a query's charges
-    with one dict lookup.  ``plan_cache`` memoizes the worklists' fused
-    gather plans the same way.
+    with one dict lookup.
     """
     if not groups:
         return []
@@ -718,7 +654,6 @@ def run_batch_on_dpu(
         cfg.k,
         dpu.n_tasklets,
         prune=cfg.prune_topk,
-        plan_cache=plan_cache,
     )
     return replay_batch_charges(
         dpu, pq, groups, topk, group_sizes, cfg, charge_cache=charge_cache

@@ -1,4 +1,4 @@
-"""Cross-batch LUT cache for the online pipeline (functional-path only).
+"""Cross-batch LUT cache and the batch table builder (functional-path only).
 
 Steady-state service traffic repeats queries and hot clusters, yet the
 engine used to rebuild every (query, cluster) lookup table from scratch
@@ -13,6 +13,9 @@ entirely.  The cache never touches modeled time: each DPU is still
 charged the full LUT-construction cost on every visit (the golden-timing
 contract), exactly as the real hardware would rebuild its WRAM copy.
 
+:func:`build_tables` is the one place tables are made: the engine and
+the ``repro.parallel`` workers both call it once per batch.
+
 Invalidation: the engine bumps its codebook version (making every old
 key unreachable) and calls :meth:`LutCache.clear` whenever the index or
 the placement changes — ``build()`` and ``refresh_placement()``.
@@ -25,10 +28,15 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
+from repro.core.cooccurrence import PackedCombos
+from repro.core.encoding import build_flat_table
 from repro.errors import ConfigError
+from repro.ivfpq.lut import build_luts_for_probes
+from repro.ivfpq.pq import ProductQuantizer
 from repro.telemetry.registry import MetricsRegistry, get_registry
 
 #: Cache key: (query digest, cluster id, codebook version).
@@ -200,3 +208,95 @@ def check_capacity(capacity_bytes: int) -> int:
             f"lut_cache_bytes must be >= 0 (0 disables), got {capacity_bytes}"
         )
     return capacity_bytes
+
+
+#: Most LUT rows built by one ``compute_luts`` call.  A 100-query batch
+#: at nprobe 64 fits in one call; a 1,000-query batch takes a few, so
+#: the transient LUT stack beside the finished tables stays bounded.
+_STACK_ROWS = 8192
+
+#: Per batch: ``tables[query row][cluster id]`` -> functional table.
+Tables = dict[int, dict[int, np.ndarray]]
+
+
+def build_tables(
+    pq: ProductQuantizer,
+    centroids: np.ndarray,
+    queries: np.ndarray,
+    groups: Iterable[tuple[int, Iterable[int]]],
+    combos: Callable[[int], PackedCombos | None],
+    cache: LutCache | None,
+    version: int,
+) -> Tables:
+    """Every functional table one batch's kernel visits.
+
+    ``groups`` lists (query row, cluster ids) worklists; each live
+    (query, cluster) key gets one table: the (m, ksub) LUT of a plain
+    cluster, or the flat [LUT | partial sums] row of a CAE cluster
+    (``combos(c)`` is its :class:`PackedCombos`).  Rows carrying the
+    same query vector share one key and one table.
+
+    1. The cache is probed once, over every live key.
+    2. All misses, sorted by cluster, are built by one ``compute_luts``
+       GEMM over their stacked residuals (chunked above
+       :data:`_STACK_ROWS` rows, at cluster boundaries).  A row's bytes
+       depend only on its (query, cluster), so a table is identical
+       whether it was built cold, as a lone miss or in a worker.
+    3. Each probed cluster gets one block holding all its miss rows: a
+       copy of the LUTs for a plain cluster, :func:`build_flat_table`
+       for a CAE cluster.  Per-cluster blocks keep a cached table from
+       pinning the whole batch's LUT stack.
+
+    Misses are written through to the cache in key order.
+    """
+    canon: dict[int, int] = {}  # query row -> first row with its vector
+    first: dict[bytes, int] = {}
+    digests: dict[int, bytes] = {}
+    wanted: dict[int, set[int]] = {}
+    for qi, cluster_ids in groups:
+        row = canon.get(qi)
+        if row is None:
+            digest = query_digest(queries[qi])
+            row = canon[qi] = first.setdefault(digest, qi)
+            digests[row] = digest
+        wanted.setdefault(row, set()).update(cluster_ids)
+    pairs = [(r, c) for r in sorted(wanted) for c in sorted(wanted[r])]
+    keys = [(digests[r], c, version) for r, c in pairs]
+    found = cache.get_many(keys) if cache is not None else [None] * len(keys)
+
+    tables: Tables = {r: {} for r in wanted}
+    for (r, c), table in zip(pairs, found):
+        if table is not None:
+            tables[r][c] = table
+    miss = [i for i, table in enumerate(found) if table is None]
+    miss.sort(key=lambda i: pairs[i][1])  # stable: rows stay ordered
+    mq = np.array([pairs[i][0] for i in miss], dtype=np.int64)
+    mc = np.array([pairs[i][1] for i in miss], dtype=np.int64)
+    cuts = np.flatnonzero(np.diff(mc)) + 1  # where the cluster changes
+    edges = [0, *cuts.tolist(), len(miss)] if miss else [0]
+    chunks: list[list[tuple[int, int]]] = []
+    for s, e in zip(edges[:-1], edges[1:]):
+        if chunks and e - chunks[-1][0][0] <= _STACK_ROWS:
+            chunks[-1].append((s, e))
+        else:
+            chunks.append([(s, e)])
+    for runs in chunks:
+        lo, hi = runs[0][0], runs[-1][1]
+        luts = build_luts_for_probes(pq, queries[mq[lo:hi]], centroids, mc[lo:hi])
+        for s, e in runs:
+            c = int(mc[s])
+            packed = combos(c)
+            block = (
+                luts[s - lo : e - lo].copy()
+                if packed is None
+                else build_flat_table(luts[s - lo : e - lo], packed)
+            )
+            for j, i in enumerate(miss[s:e]):
+                tables[pairs[i][0]][c] = block[j]
+    if cache is not None:
+        for i in sorted(miss):
+            r, c = pairs[i]
+            cache.put(keys[i], tables[r][c])
+    for qi, row in canon.items():
+        tables[qi] = tables[row]
+    return tables

@@ -28,12 +28,16 @@ def build_luts_for_probes(
     centroids: np.ndarray,
     probe_ids: np.ndarray,
 ) -> np.ndarray:
-    """LUTs for one query against several probed clusters.
+    """LUTs for (query, probed cluster) pairs -> (len(probe_ids), m, ksub).
 
-    Returns (nprobe, m, ksub).  This is the unit of work each DPU repeats
-    per assigned (query, cluster) pair in the paper's pipeline.
+    ``query`` is one vector probed against every cluster in
+    ``probe_ids``, or one row per entry of ``probe_ids`` (the batch
+    table builder stacks a whole batch's pairs this way).  This is the
+    unit of work each DPU repeats per assigned (query, cluster) pair in
+    the paper's pipeline.
     """
-    residuals = np.asarray(query, dtype=np.float32)[None, :] - centroids[probe_ids]
+    query = np.asarray(query, dtype=np.float32)
+    residuals = (query[None, :] if query.ndim == 1 else query) - centroids[probe_ids]
     return pq.compute_luts(residuals)
 
 

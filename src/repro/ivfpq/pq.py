@@ -15,6 +15,9 @@ import numpy as np
 from repro.errors import ConfigError, NotTrainedError
 from repro.ivfpq.kmeans import assign_to_centroids, kmeans
 
+#: Row block of :meth:`ProductQuantizer.compute_luts`.
+_LUT_BLOCK_ROWS = 256
+
 
 @dataclass
 class ProductQuantizer:
@@ -118,19 +121,36 @@ class ProductQuantizer:
         return lut
 
     def compute_luts(self, queries: np.ndarray) -> np.ndarray:
-        """Batched :meth:`compute_lut` -> (nq, m, ksub)."""
+        """Batched :meth:`compute_lut` -> (nq, m, ksub).
+
+        The one LUT formulation of the functional path: a row's bytes
+        depend only on the row, never on how many rows share the call.
+        A one-row matmul would take NumPy's gemv path, whose rounding
+        differs in the last bits from gemm's, so a lone row is padded
+        to two.  Rows are processed in blocks (none of one row) so every
+        subspace writes into a block that is still in cache.
+        """
         books = self._require_trained()
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         nq = queries.shape[0]
+        if nq == 1:
+            return self.compute_luts(np.repeat(queries, 2, axis=0))[:1]
         luts = np.empty((nq, self.m, self.ksub), dtype=np.float32)
-        for sub in range(self.m):
-            qs = queries[:, sub * self.dsub : (sub + 1) * self.dsub]
-            cb = books[sub]
-            # (nq, ksub) distances via expansion; small enough to batch.
-            cross = qs @ cb.T
-            qn = np.einsum("ij,ij->i", qs, qs)
-            cn = np.einsum("ij,ij->i", cb, cb)
-            luts[:, sub, :] = np.maximum(qn[:, None] - 2 * cross + cn[None, :], 0.0)
+        cn = [np.einsum("ij,ij->i", cb, cb) for cb in books]
+        starts = list(range(0, nq, _LUT_BLOCK_ROWS))
+        if nq - starts[-1] == 1:
+            starts.pop()
+        for lo, hi in zip(starts, [*starts[1:], nq]):
+            block = queries[lo:hi]
+            for sub in range(self.m):
+                qs = block[:, sub * self.dsub : (sub + 1) * self.dsub]
+                # (rows, ksub) distances via expansion, evaluated in
+                # place as qn - 2 * (qs @ cb.T) + cn, clamped at 0.
+                d = qs @ books[sub].T
+                d *= 2
+                np.subtract(np.einsum("ij,ij->i", qs, qs)[:, None], d, out=d)
+                d += cn[sub]
+                np.maximum(d, 0.0, out=luts[lo:hi, sub, :])
         return luts
 
     def quantization_error(self, x: np.ndarray) -> float:

@@ -94,14 +94,13 @@ def _pack_index(
         arrays[f"c{c}:addr"] = enc.addresses
         arrays[f"c{c}:len"] = enc.lengths
         if p.cooc is not None and p.cooc.n_slots > 0:
-            pos, codes, slots = p.cooc._packed_indices()
+            packed = p.cooc.packed
+            pos, codes = packed.pos, packed.codes
         else:
             pos = np.empty((0, 0), dtype=np.int64)
             codes = np.empty((0, 0), dtype=np.int64)
-            slots = np.empty(0, dtype=np.int64)
         arrays[f"c{c}:cpos"] = pos
         arrays[f"c{c}:ccodes"] = codes
-        arrays[f"c{c}:cslots"] = slots
         plist.append(
             {
                 "cluster_id": c,
@@ -184,7 +183,6 @@ class ProcessExecutor:
         self,
         dpu_groups: list[tuple[int, list[tuple[int, list[ClusterPayload]]]]],
         queries: np.ndarray,
-        probes,
         *,
         k: int,
         n_tasklets: int,
@@ -193,12 +191,6 @@ class ProcessExecutor:
         epoch: int,
     ) -> dict[int, tuple[list[tuple[np.ndarray, np.ndarray, HeapStats]], np.ndarray]]:
         """Fan the batch's DPU worklists out and reassemble by DPU id.
-
-        ``probes`` is the batch's per-query live probe list (matrix or
-        ragged list, indexable by query index): each shipped query
-        carries its *full* ordered probe list so workers rebuild LUTs
-        with the exact call composition of the parent's cold build —
-        the guarantee that keeps table values bit-identical.
 
         Returns ``{dpu_id: (topk triples, group_sizes)}`` — exactly what
         :func:`~repro.core.kernel.compute_groups_functional` would have
@@ -223,9 +215,6 @@ class ProcessExecutor:
                     if qi not in qlocs:
                         qlocs[qi] = len(qlocs)
             sub = np.ascontiguousarray(queries[list(qlocs)])
-            sub_probes = [
-                np.asarray(probes[qi], dtype=np.int64) for qi in qlocs
-            ]
             queries_shipped += sub.shape[0]
             entries = [
                 (
@@ -238,7 +227,7 @@ class ProcessExecutor:
                 for gi in chunk
             ]
             tasks.append(
-                (epoch, version, k, n_tasklets, prune, entries, sub, sub_probes)
+                (epoch, version, k, n_tasklets, prune, entries, sub)
             )
         try:
             futures = [self._pool.submit(run_task, task) for task in tasks]

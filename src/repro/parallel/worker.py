@@ -3,12 +3,14 @@
 Each pool worker is initialized once with read-only shared-memory views
 of the index (codebooks, centroids, every cluster payload array) and
 then serves tasks that carry only *small* per-batch data: query rows and
-(query, cluster-id) worklists.  The worker rebuilds the functional
-tables locally — LUT values are pure functions of (codebooks, query,
-centroid), so they are bit-identical to the parent's — and runs the pure
-half of the grouped kernel (:func:`~repro.core.kernel.
-compute_groups_functional`).  Charges never happen here: the parent
-replays them from the returned top-k and group sizes.
+(query, cluster-id) worklists.  The worker builds the functional tables
+locally with the parent's own batch builder
+(:func:`~repro.core.lut_cache.build_tables`) — a table's bytes depend
+only on its (query, cluster), so they are bit-identical to the
+parent's — and runs the pure half of the grouped kernel
+(:func:`~repro.core.kernel.compute_groups_functional`).  Charges never
+happen here: the parent replays them from the returned top-k and group
+sizes.
 
 Module state is a single ``_STATE`` slot assigned by :func:`init_worker`
 (simlint rule PAR001 bans any other module-level mutable state on the
@@ -18,16 +20,15 @@ paths reachable from :func:`run_task`).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cooccurrence import partial_sums_from_packed
+from repro.core.cooccurrence import PackedCombos
 from repro.core.encoding import EncodedCluster
-from repro.core.kernel import ClusterPayload, GatherPlanCache, compute_groups_functional
-from repro.core.lut_cache import LutCache, query_digest
+from repro.core.kernel import ClusterPayload, compute_groups_functional
+from repro.core.lut_cache import LutCache, build_tables
 from repro.errors import ConfigError
-from repro.ivfpq.lut import build_luts_for_probes
 from repro.ivfpq.pq import ProductQuantizer
 from repro.telemetry.registry import MetricsRegistry
 
@@ -35,11 +36,10 @@ from repro.telemetry.registry import MetricsRegistry
 #: test uses it to assert the executor surfaces a clean ExecutorError.
 CRASH_TASK = "__crash_worker__"
 
-#: One task: (epoch, version, k, n_tasklets, prune, entries, queries,
-#: probes) with entries = [(dpu_id, [(query slot, [cluster ids])])],
-#: queries the (n, dim) float32 rows the slots index into and probes the
-#: per-slot *full* probed-cluster list of each query in this batch.
-Task = tuple[int, int, int, int, bool, list, np.ndarray, list]
+#: One task: (epoch, version, k, n_tasklets, prune, entries, queries)
+#: with entries = [(dpu_id, [(query slot, [cluster ids])])] and queries
+#: the (n, dim) float32 rows the slots index into.
+Task = tuple[int, int, int, int, bool, list, np.ndarray]
 
 
 @dataclass
@@ -50,14 +50,13 @@ class _WorkerState:
     pq: ProductQuantizer
     centroids: np.ndarray
     payloads: dict[int, ClusterPayload]
-    # cluster id -> (pos, codes, slots, n_slots) for CAE flat tables.
-    combos: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]]
+    # cluster id -> gather form of its combinations, for CAE flat tables.
+    combos: dict[int, PackedCombos]
     # Private LUT cache: same keying as the engine's, but counting into
     # a detached registry so worker-side hits never skew the parent's
     # repro_lut_cache_* telemetry (bit-identical counters across
     # backends are part of the equivalence contract).
     tables: LutCache
-    plans: GatherPlanCache = field(default_factory=GatherPlanCache)
     epoch: int = -1
 
 
@@ -76,7 +75,7 @@ def init_worker(shm_name: str, manifest: dict, meta: dict) -> None:
     )
     pq.codebooks = views["codebooks"]
     payloads: dict[int, ClusterPayload] = {}
-    combos: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
+    combos: dict[int, PackedCombos] = {}
     for p in meta["payloads"]:
         c = p["cluster_id"]
         if p["kind"] == "plain":
@@ -94,11 +93,8 @@ def init_worker(shm_name: str, manifest: dict, meta: dict) -> None:
                     n_slots=p["n_slots"],
                 ),
             )
-            combos[c] = (
-                views[f"c{c}:cpos"],
-                views[f"c{c}:ccodes"],
-                views[f"c{c}:cslots"],
-                p["n_slots"],
+            combos[c] = PackedCombos(
+                pos=views[f"c{c}:cpos"], codes=views[f"c{c}:ccodes"]
             )
     _STATE = _WorkerState(
         shm=shm,
@@ -108,64 +104,6 @@ def init_worker(shm_name: str, manifest: dict, meta: dict) -> None:
         combos=combos,
         tables=LutCache(meta["lut_cache_bytes"], registry=MetricsRegistry()),
     )
-
-
-def _build_table(state: _WorkerState, c: int, lut: np.ndarray) -> np.ndarray:
-    """The functional table for cluster ``c``: the LUT itself for a
-    plain cluster, flat [LUT | partial sums] for a CAE cluster — the
-    exact operation sequence of
-    :func:`repro.core.encoding.build_flat_table`."""
-    combo = state.combos.get(c)
-    if combo is None:
-        return lut
-    pos, codes, slots, n_slots = combo
-    sums = partial_sums_from_packed(lut, pos, codes, slots, n_slots)
-    return np.concatenate([lut.reshape(-1).astype(np.float32), sums])
-
-
-def _tables_for_task(
-    state: _WorkerState,
-    entries: list,
-    queries: np.ndarray,
-    probes: list,
-    version: int,
-) -> dict[int, dict[int, np.ndarray]]:
-    """Per-(query slot, cluster) tables, via the worker's private cache.
-
-    On any miss the *whole* probe list of that query is rebuilt in one
-    vectorized LUT call — the same call composition the parent's
-    ``_build_tables`` uses on a cold query.  That is load-bearing for
-    bit-identity: the batched residual matmul can pick a different BLAS
-    kernel (and hence last-bit rounding) for different batch sizes, so
-    recomputing partial subsets is not guaranteed to reproduce the
-    parent's values, while full-list rebuilds always match.
-    """
-    seen: set[int] = set()
-    for _d, groups in entries:
-        for qloc, _cluster_ids in groups:
-            seen.add(qloc)
-    tables: dict[int, dict[int, np.ndarray]] = {}
-    for qloc in seen:
-        digest = query_digest(queries[qloc])
-        cluster_ids = [int(c) for c in probes[qloc]]
-        per_q: dict[int, np.ndarray] = {}
-        tables[qloc] = per_q
-        cached = state.tables.get_many([(digest, c, version) for c in cluster_ids])
-        if all(hit is not None for hit in cached):
-            for c, hit in zip(cluster_ids, cached):
-                per_q[c] = hit
-            continue
-        luts = build_luts_for_probes(
-            state.pq,
-            queries[qloc],
-            state.centroids,
-            np.asarray(cluster_ids, dtype=np.int64),
-        )
-        for j, c in enumerate(cluster_ids):
-            table = _build_table(state, c, luts[j])
-            per_q[c] = table
-            state.tables.put((digest, c, version), table)
-    return tables
 
 
 def run_task(task):
@@ -181,14 +119,21 @@ def run_task(task):
     state = _STATE
     if state is None:  # pragma: no cover - init_worker always ran
         raise ConfigError("worker used before init_worker")
-    epoch, version, k, n_tasklets, prune, entries, queries, probes = task
+    epoch, version, k, n_tasklets, prune, entries, queries = task
     if state.epoch != epoch:
         # The parent cleared its cross-batch caches (or this is the
         # first task after a rebuild): drop ours so cold stays cold.
         state.tables.clear()
-        state.plans.clear()
         state.epoch = epoch
-    tables = _tables_for_task(state, entries, queries, probes, version)
+    tables = build_tables(
+        state.pq,
+        state.centroids,
+        queries,
+        (group for _d, groups in entries for group in groups),
+        state.combos.get,
+        state.tables,
+        version,
+    )
     results = []
     for dpu_id, groups in entries:
         glist = [
@@ -196,7 +141,7 @@ def run_task(task):
             for qloc, cluster_ids in groups
         ]
         topk, group_sizes = compute_groups_functional(
-            glist, tables, k, n_tasklets, prune=prune, plan_cache=state.plans
+            glist, tables, k, n_tasklets, prune=prune
         )
         results.append(
             (

@@ -1,9 +1,10 @@
-"""Cross-batch LUT cache tests: LRU semantics, capacity, counters."""
+"""Cross-batch LUT cache tests: LRU semantics, capacity, counters, and
+the batch table builder."""
 
 import numpy as np
 import pytest
 
-from repro.core.lut_cache import LutCache, check_capacity, query_digest
+from repro.core.lut_cache import LutCache, build_tables, check_capacity, query_digest
 from repro.errors import ConfigError
 from repro.telemetry.registry import MetricsRegistry, set_registry
 
@@ -244,3 +245,86 @@ class TestDigestAndCapacity:
         assert check_capacity(1024) == 1024
         with pytest.raises(ConfigError):
             check_capacity(-1)
+
+
+def _worker_table(query, cluster, version):
+    """Runs inside a pool worker: one table from the worker's index views."""
+    from repro.parallel import worker
+
+    state = worker._STATE
+    tables = build_tables(
+        state.pq, state.centroids, query[None], [(0, [cluster])],
+        state.combos.get, None, version,
+    )
+    return tables[0][cluster]
+
+
+class TestBatchTableBuilder:
+    """A (query, cluster) table has one byte value, however it was built."""
+
+    NPROBE = 8
+
+    def engine(self, dataset, index, history, executor="serial"):
+        from repro.config import IndexConfig, QueryConfig, SystemConfig
+        from repro.core.engine import UpANNSEngine
+        from repro.hardware.specs import PimSystemSpec
+
+        cfg = SystemConfig(
+            index=IndexConfig(dim=32, n_clusters=32, m=8, train_iters=6),
+            query=QueryConfig(nprobe=self.NPROBE, k=5, batch_size=40),
+            pim=PimSystemSpec(n_dimms=1, chips_per_dimm=2, dpus_per_chip=8),
+        )
+        eng = UpANNSEngine(cfg, executor=executor)
+        eng.build(dataset.vectors, history_queries=history, prebuilt_index=index)
+        return eng
+
+    def test_cold_lone_miss_and_worker_tables_are_byte_identical(
+        self, small_dataset, trained_index, history_queries, small_queries
+    ):
+        args = (small_dataset, trained_index, history_queries)
+        cold, lone = self.engine(*args), self.engine(*args)
+        pooled = self.engine(*args, executor="process:2")
+        try:
+            queries = small_queries[:6]
+            cold.search_batch(queries)  # every table inside one big GEMM
+            pooled.search_batch(queries)  # starts the pool
+            probes = cold.index.ivf.search_clusters(queries, self.NPROBE)
+            for q, row in zip(queries, probes):
+                # Reduced-nprobe pass, then full: the last probe is the
+                # batch's only miss.
+                lone.search_batch(q[None], nprobe=self.NPROBE - 1)
+                lone.search_batch(q[None])
+                c = int(row[-1])
+                built = [
+                    eng.lut_cache.get((query_digest(q), c, eng._codebook_version))
+                    for eng in (cold, lone)
+                ]
+                built.append(
+                    pooled._executor_runtime._pool.submit(
+                        _worker_table, q, c, pooled._codebook_version
+                    ).result()
+                )
+                assert all(t is not None for t in built)
+                assert built[0].tobytes() == built[1].tobytes()
+                assert built[0].tobytes() == built[2].tobytes()
+        finally:
+            pooled.close()
+
+    def test_one_probe_per_live_key_and_repeated_rows_share_tables(
+        self, registry, small_dataset, trained_index, history_queries, small_queries
+    ):
+        eng = self.engine(small_dataset, trained_index, history_queries)
+        q = small_queries[:2]
+        batch = np.vstack([q, q[:1]])  # row 2 repeats row 0
+        groups = [(0, [1, 2]), (1, [2]), (2, [1, 2]), (1, [3])]
+        args = (
+            eng.index.pq, eng.index.ivf.centroids, batch, groups,
+            lambda c: eng._payloads[c].packed_combos, eng.lut_cache, 7,
+        )
+        tables = build_tables(*args)
+        assert counter_values(registry) == (0, 4)  # 4 live keys
+        assert tables[2] is tables[0]
+        assert sorted(tables[1]) == [2, 3]
+        again = build_tables(*args)
+        assert counter_values(registry) == (4, 4)
+        assert again[1][3] is tables[1][3]

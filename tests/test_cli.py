@@ -56,6 +56,28 @@ class TestFlow:
         assert "modeled QPS" in out
         assert "q0:" in out
 
+    def test_search_wrong_dimension_is_a_usage_error(self, tiny_flow, capsys):
+        from repro.data.loader import write_vecs
+        from repro.ivfpq import IVFPQIndex
+        from repro.ivfpq.io import save_index
+
+        _corpus, queries, index = tiny_flow
+        rng = np.random.default_rng(0)
+        ivfpq = IVFPQIndex(dim=16, n_clusters=4, m=4)
+        vectors = rng.normal(size=(400, 16)).astype(np.float32)
+        ivfpq.train(vectors, n_iter=2, rng=rng)
+        ivfpq.add(vectors)
+        save_index(index, ivfpq)
+        write_vecs(queries, rng.normal(size=(3, 8)).astype(np.float32))
+        assert main([
+            "-q", "search", "--index", str(index), "--queries", str(queries),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "dim" in lines[0]
+
     def test_metrics_text_table(self, capsys):
         assert main(["-q", "metrics", "--batches", "2", "--batch-size", "16"]) == 0
         out = capsys.readouterr().out
