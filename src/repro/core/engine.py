@@ -34,8 +34,8 @@ from repro.core.kernel import (
     ClusterPayload,
     DpuWorkLog,
     KernelConfig,
+    compute_batch_functional,
     replay_batch_charges,
-    run_batch_on_dpu,
     run_query_on_dpu,
 )
 from repro.core.lut_cache import LutCache, build_tables
@@ -653,10 +653,8 @@ class UpANNSEngine:
         centroids = self.index.ivf.centroids
         self.pim.reset_counters()
         if uc.kernel_mode == "grouped":
-            # Vectorized path: each DPU's whole worklist executes in
-            # fused NumPy ops over per-(query, cluster) functional
-            # tables.  Charges are replayed pair-by-pair, so the ledger
-            # matches the loop.
+            # Vectorized path: fused NumPy ops over per-(query, cluster)
+            # functional tables, many DPUs' worklists per call.
             dpu_groups: list[tuple[int, list[tuple[int, list[ClusterPayload]]]]] = []
             for d, pairs in enumerate(assignment.per_dpu):
                 if not pairs:
@@ -686,10 +684,8 @@ class UpANNSEngine:
             )
             runtime = self._resolve_executor_runtime()
             if runtime is not None and dpu_groups:
-                # Parallel functional execution: workers compute each
-                # DPU's distances + top-k from shared-memory index views
-                # and rebuilt tables; the parent replays every charge in
-                # ascending DPU order, exactly as the serial loop below.
+                # Workers compute distances + top-k from shared-memory
+                # index views and rebuilt tables.
                 try:
                     functional = runtime.compute(
                         dpu_groups,
@@ -708,28 +704,27 @@ class UpANNSEngine:
                     self._shutdown_executor()
                     raise
             else:
-                functional = None
+                functional = compute_batch_functional(
+                    dpu_groups,
+                    tables,
+                    kernel_cfg.k,
+                    kernel_cfg.n_tasklets,
+                    prune=kernel_cfg.prune_topk,
+                )
+            # Whichever backend computed the functional half, the parent
+            # replays every charge pair-by-pair in ascending DPU order,
+            # so the ledger matches the loop.
             for d, groups in dpu_groups:
-                if functional is not None:
-                    topk, group_sizes = functional[d]
-                    outs = replay_batch_charges(
-                        self.pim.dpu(d),
-                        self.index.pq,
-                        groups,
-                        topk,
-                        group_sizes,
-                        kernel_cfg,
-                        charge_cache=self._pair_charges,
-                    )
-                else:
-                    outs = run_batch_on_dpu(
-                        self.pim.dpu(d),
-                        self.index.pq,
-                        groups,
-                        kernel_cfg,
-                        tables,
-                        charge_cache=self._pair_charges,
-                    )
+                topk, group_sizes = functional[d]
+                outs = replay_batch_charges(
+                    self.pim.dpu(d),
+                    self.index.pq,
+                    groups,
+                    topk,
+                    group_sizes,
+                    kernel_cfg,
+                    charge_cache=self._pair_charges,
+                )
                 for (qi, payloads), out in zip(groups, outs):
                     partials[qi].append((out.ids, out.distances))
                     logs[d].stage += out.stage

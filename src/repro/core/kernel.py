@@ -328,8 +328,9 @@ class DpuWorkLog:
 # --- Grouped (vectorized) execution path ------------------------------------
 #
 # The functions below reproduce run_query_on_dpu's *charges* float-for-
-# float while fusing its *functional* work across every (query, cluster)
-# pair assigned to one DPU.  The contract is strict: for any worklist,
+# float while fusing its *functional* work across a whole batch
+# (compute_batch_functional) and replaying charges per DPU
+# (replay_batch_charges).  The contract is strict: for any worklist,
 # the grouped path must leave the DPU ledger, the per-stage cycle sums
 # and the top-k outputs bit-identical to the per-pair loop (pinned by
 # tests/sim/golden_timings.json and the grouped-equivalence tests).
@@ -467,7 +468,8 @@ def apply_topk_charges(
 #: Row-chunk length for the fused ADC gather: bounds the (rows, m)
 #: intermediate at a couple of MB so it stays cache-friendly instead
 #: of materializing hundreds of MB for a large worklist (measured ~3x
-#: faster than the one-shot gather at 20M rows).
+#: faster than the one-shot gather at 20M rows).  Also the fusion bound
+#: of compute_batch_functional.
 _GATHER_CHUNK_ROWS = 1 << 16
 
 
@@ -477,20 +479,19 @@ def _gather_sum(table: np.ndarray, gidx: np.ndarray, base: np.ndarray) -> np.nda
     Rows reduce independently (the axis-1 sum of an 8-ish-wide float32
     row is sequential), so chunking over rows is bit-identical to the
     one-shot expression while keeping the gathered intermediate small.
+    ``gidx`` is overwritten: the base offsets are added in place.
     """
     n = gidx.shape[0]
     m = gidx.shape[1]
     dists = np.empty(n, dtype=np.float32)
-    # One reused pair of chunk buffers: freshly mapped multi-MB
-    # temporaries per chunk otherwise spend real time in page faults.
-    rows = min(n, _GATHER_CHUNK_ROWS)
-    idx = np.empty((rows, m), dtype=gidx.dtype)
-    val = np.empty((rows, m), dtype=np.float32)
+    # One reused chunk buffer: fresh multi-MB temporaries page-fault.
+    val = np.empty((min(n, _GATHER_CHUNK_ROWS), m), dtype=np.float32)
     for s in range(0, n, _GATHER_CHUNK_ROWS):
         e = min(n, s + _GATHER_CHUNK_ROWS)
         c = e - s
-        np.add(gidx[s:e], base[s:e, None], out=idx[:c])
-        np.take(table, idx[:c], out=val[:c])
+        idx = gidx[s:e]
+        np.add(idx, base[s:e, None], out=idx)
+        np.take(table, idx, out=val[:c])
         np.add.reduce(val[:c], axis=1, dtype=np.float32, out=dists[s:e])
     return dists
 
@@ -620,44 +621,48 @@ def compute_groups_functional(
     return topk, group_sizes
 
 
-def run_batch_on_dpu(
-    dpu: DPU,
-    pq: ProductQuantizer,
-    groups: list[tuple[int, list[ClusterPayload]]],
-    cfg: KernelConfig,
+def compute_batch_functional(
+    dpu_groups: list[tuple[int, list[tuple[int, list[ClusterPayload]]]]],
     tables: dict[int, dict[int, np.ndarray]],
-    charge_cache: dict[tuple[int, int], PairCharges] | None = None,
-) -> list[QueryKernelOutput]:
-    """Grouped entry point: all (query, cluster) pairs of one DPU at once.
+    k: int,
+    n_tasklets: int,
+    *,
+    prune: bool = True,
+) -> dict[int, tuple[list[tuple[np.ndarray, np.ndarray, HeapStats]], np.ndarray]]:
+    """Functional half of a whole batch: every DPU's worklist, fused.
 
-    ``groups`` lists (query index, payloads) in the scheduling order;
-    ``tables[qi][cluster_id]`` supplies the precomputed functional table
-    for each pair (from the engine's cross-batch LUT cache).  Distances
-    are computed in fused gathers across the whole worklist and the
-    per-query top-k selections run as one batched call
-    (:func:`compute_groups_functional`); charges are then replayed per
-    pair in the per-pair loop's exact order
-    (:func:`replay_batch_charges`), so ledger and stage cycles match
-    :func:`run_query_on_dpu` bit-for-bit.
-
-    ``charge_cache`` optionally memoizes charge computations across
-    calls (and batches): :class:`PairCharges` keyed by (cluster id,
-    tasklet count), plus whole-group aggregates keyed by the group's
-    ordered cluster-id tuple so repeat traffic replays a query's charges
-    with one dict lookup.
+    ``dpu_groups`` lists ``(dpu_id, [(query index, payloads)])`` in
+    ascending DPU order.  Runs of consecutive DPUs whose candidate count
+    stays within ``_GATHER_CHUNK_ROWS`` share one
+    :func:`compute_groups_functional` call (one ADC gather, one top-k
+    dispatch); a DPU above the bound runs alone.  Groups are independent,
+    so the results are bit-identical to one call per DPU.  Returns
+    ``{dpu_id: (topk triples, group_sizes)}`` for replay_batch_charges.
     """
-    if not groups:
-        return []
-    topk, group_sizes = compute_groups_functional(
-        groups,
-        tables,
-        cfg.k,
-        dpu.n_tasklets,
-        prune=cfg.prune_topk,
-    )
-    return replay_batch_charges(
-        dpu, pq, groups, topk, group_sizes, cfg, charge_cache=charge_cache
-    )
+    runs: list[list[tuple[int, list[tuple[int, list[ClusterPayload]]]]]] = []
+    rows = 0
+    for entry in dpu_groups:
+        n = sum(p.size for _qi, payloads in entry[1] for p in payloads)
+        if not runs or rows + n > _GATHER_CHUNK_ROWS:
+            runs.append([])
+            rows = 0
+        runs[-1].append(entry)
+        rows += n
+    out: dict[int, tuple[list, np.ndarray]] = {}
+    for run in runs:
+        topk, group_sizes = compute_groups_functional(
+            [group for _d, groups in run for group in groups],
+            tables,
+            k,
+            n_tasklets,
+            prune=prune,
+        )
+        start = 0
+        for dpu_id, groups in run:
+            end = start + len(groups)
+            out[dpu_id] = (topk[start:end], group_sizes[start:end])
+            start = end
+    return out
 
 
 def replay_batch_charges(
@@ -671,11 +676,15 @@ def replay_batch_charges(
 ) -> list[QueryKernelOutput]:
     """Ledger half of the grouped kernel: replay every visit's charges.
 
-    Consumes the functional results of :func:`compute_groups_functional`
-    (wherever they were computed — inline or in a worker process) and
+    Consumes one DPU's entry of :func:`compute_batch_functional`
+    (wherever it was computed — inline or in a worker process) and
     charges the DPU ledger, stage cycles and DMA telemetry exactly as
     the per-pair reference loop would.  Must run in the parent process:
     this is the only half that mutates shared simulator state.
+
+    ``charge_cache`` memoizes charges across calls and batches:
+    :class:`PairCharges` per (cluster id, tasklets) and whole-group
+    aggregates per ordered cluster-id tuple.
     """
     # Charge replay, batched.  Integer ledger deltas and DMA telemetry
     # increments add associatively, so they are accumulated locally and

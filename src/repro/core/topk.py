@@ -353,7 +353,6 @@ def _select_group_topk_keys(
     form (keys are unique (value, position) packs — the k smallest of a
     multiset with unique members is a uniquely defined set).
     """
-    n_groups = int(n_arr.shape[0])
     live = n_arr > 0
     if not live.any():
         return
@@ -431,8 +430,9 @@ def scan_topk_fast_batch_flat(
     gidx = np.repeat(np.arange(n_groups, dtype=np.int64), n_arr)
     j = np.arange(total, dtype=np.int64) - starts[gidx]
 
-    # Per-group top-k by packed (value, position) key: one O(n)
-    # partition + O(k log k) sort per group, no padding waste.  The
+    # Per-group top-k by packed (value, position) key: groups are
+    # padded to their next power-of-two length and each length class
+    # runs one 2-D partition + sort (_select_group_topk_keys).  The
     # union of per-stride local top-k lists always contains the global
     # (value, position)-smallest k, so selecting directly over the raw
     # group is result-identical to local-select-then-merge.

@@ -193,9 +193,9 @@ class ProcessExecutor:
         """Fan the batch's DPU worklists out and reassemble by DPU id.
 
         Returns ``{dpu_id: (topk triples, group_sizes)}`` — exactly what
-        :func:`~repro.core.kernel.compute_groups_functional` would have
-        produced inline for each DPU, so the caller's charge replay is
-        backend-independent.  A dead worker raises
+        :func:`~repro.core.kernel.compute_batch_functional` produces
+        inline for the whole batch (each worker runs it over its shard),
+        so the caller's charge replay is backend-independent.  A dead worker raises
         :class:`~repro.errors.ExecutorError`; the pool is broken
         afterwards and must be shut down by the caller.
         """

@@ -7,10 +7,11 @@ then serves tasks that carry only *small* per-batch data: query rows and
 locally with the parent's own batch builder
 (:func:`~repro.core.lut_cache.build_tables`) — a table's bytes depend
 only on its (query, cluster), so they are bit-identical to the
-parent's — and runs the pure half of the grouped kernel
-(:func:`~repro.core.kernel.compute_groups_functional`).  Charges never
-happen here: the parent replays them from the returned top-k and group
-sizes.
+parent's — and runs the pure half of the grouped kernel over its whole
+shard of DPU worklists with the same batch-level entry the engine's
+serial path calls (:func:`~repro.core.kernel.compute_batch_functional`).
+Charges never happen here: the parent replays them from the returned
+top-k and group sizes.
 
 Module state is a single ``_STATE`` slot assigned by :func:`init_worker`
 (simlint rule PAR001 bans any other module-level mutable state on the
@@ -26,7 +27,7 @@ import numpy as np
 
 from repro.core.cooccurrence import PackedCombos
 from repro.core.encoding import EncodedCluster
-from repro.core.kernel import ClusterPayload, compute_groups_functional
+from repro.core.kernel import ClusterPayload, compute_batch_functional
 from repro.core.lut_cache import LutCache, build_tables
 from repro.errors import ConfigError
 from repro.ivfpq.pq import ProductQuantizer
@@ -134,27 +135,24 @@ def run_task(task):
         state.tables,
         version,
     )
-    results = []
-    for dpu_id, groups in entries:
-        glist = [
-            (qloc, [state.payloads[c] for c in cluster_ids])
-            for qloc, cluster_ids in groups
-        ]
-        topk, group_sizes = compute_groups_functional(
-            glist, tables, k, n_tasklets, prune=prune
+    functional = compute_batch_functional(
+        [
+            (dpu_id, [(q, [state.payloads[c] for c in cids]) for q, cids in groups])
+            for dpu_id, groups in entries
+        ],
+        tables,
+        k,
+        n_tasklets,
+        prune=prune,
+    )
+    return [
+        (
+            dpu_id,
+            group_sizes,
+            [
+                (v, i, (hs.comparisons, hs.insertions, hs.pruned, hs.merge_comparisons))
+                for v, i, hs in topk
+            ],
         )
-        results.append(
-            (
-                dpu_id,
-                group_sizes,
-                [
-                    (
-                        v,
-                        i,
-                        (hs.comparisons, hs.insertions, hs.pruned, hs.merge_comparisons),
-                    )
-                    for v, i, hs in topk
-                ],
-            )
-        )
-    return results
+        for dpu_id, (topk, group_sizes) in functional.items()
+    ]

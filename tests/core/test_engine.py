@@ -286,6 +286,73 @@ class TestGroupedKernel:
         assert hits >= misses
 
 
+class TestFusedFunctionalPass:
+    """One search_batch runs the functional kernel over many DPUs' worklists
+    per call, split only at DPU boundaries above the fusion bound."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        calls: list = []
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    def test_one_adc_and_topk_call_below_bound(
+        self, built_engine, small_queries, monkeypatch
+    ):
+        from repro.core import kernel
+
+        adc = self.count_calls(monkeypatch, kernel, "compute_pair_distances")
+        topk = self.count_calls(monkeypatch, kernel, "scan_topk_fast_batch_flat")
+        result = built_engine.search_batch(small_queries[:8])
+        busy = sum(1 for pairs in result.assignment.per_dpu if pairs)
+        assert built_engine.pim.n_dpus == 16 and busy > 1
+        assert len(adc) == 1 and len(topk) == 1
+        (pairs,) = adc[0]
+        assert sum(p.size for p, _table in pairs) < kernel._GATHER_CHUNK_ROWS
+
+    def test_splits_only_at_dpu_boundaries(
+        self, built_engine, small_queries, monkeypatch
+    ):
+        from repro.core import engine as engine_mod, kernel
+
+        batches = self.count_calls(
+            monkeypatch, engine_mod, "compute_batch_functional"
+        )
+        reference = built_engine.search_batch(small_queries)
+        dpu_groups = batches[0][0]
+        rows = [
+            sum(p.size for _qi, payloads in groups for p in payloads)
+            for _d, groups in dpu_groups
+        ]
+        bound = 2 * int(np.median(rows))
+        monkeypatch.setattr(kernel, "_GATHER_CHUNK_ROWS", bound)
+        chunks = self.count_calls(monkeypatch, kernel, "compute_groups_functional")
+        result = built_engine.search_batch(small_queries)
+
+        np.testing.assert_array_equal(reference.ids, result.ids)
+        np.testing.assert_array_equal(reference.distances, result.distances)
+        dpu_groups = batches[1][0]
+        flat = [group for _d, groups in dpu_groups for group in groups]
+        boundaries = np.cumsum([0] + [len(groups) for _d, groups in dpu_groups])
+        assert 1 < len(chunks) < len(dpu_groups)
+        start = 0
+        for groups, *_ in chunks:
+            end = start + len(groups)
+            assert start in boundaries and end in boundaries
+            assert groups == flat[start:end]
+            n_dpus = int(((boundaries > start) & (boundaries <= end)).sum())
+            n_rows = sum(p.size for _qi, payloads in groups for p in payloads)
+            assert n_rows <= bound or n_dpus == 1
+            start = end
+        assert start == len(flat)
+
+
 class TestResultTransferBytes:
     def test_transfer_out_charged_for_actual_candidates(self, built_engine, small_queries):
         """Result DMA is sized by what the DPUs actually return: with k
