@@ -63,9 +63,12 @@ INSTR_PER_HEAP_INSERTION = 6.0
 # the spec module so the chunk tracks the hardware constraint.
 CODEBOOK_CHUNK_BYTES = MAX_DMA_BYTES
 
-# One 0.0 slot appended after each flat table in fused CAE gathers;
-# dead addresses resolve here instead of being masked out per batch.
+# One 0.0 slot appended after the fused tables of an ADC gather, and
+# the offset of a dead CAE slot: past the end of any fused table, so
+# the gather's clip mode resolves dead slots to the sentinel instead of
+# masking them out per batch.
 _SENTINEL_ZERO = np.zeros(1, dtype=np.float32)
+_DEAD_SLOT = 1 << 30
 
 
 @dataclass
@@ -82,43 +85,42 @@ class ClusterPayload:
     codes: np.ndarray | None = None  # (s, m) uint8, plain path
     encoded: EncodedCluster | None = None  # CAE path
     cooc: CooccurrenceModel | None = None
-    # Lazily precomputed ADC gather indices (the payload's codes and
-    # slot masks never change once placed, so the grouped kernel reuses
-    # these across batches).  Host-side acceleration state only.
-    _gather_idx: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _safe_addr: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _safe_table_len: int = field(default=-1, repr=False, compare=False)
+    # Lazily precomputed ADC gather offsets, column-major (the payload's
+    # codes and slot masks never change once placed, so the grouped
+    # kernel reuses them across batches).  Host-side acceleration state
+    # only; keyed by ksub.
+    _gather_cols: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _gather_key: int = field(default=-1, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.codes is None) == (self.encoded is None):
             raise ConfigError("payload must be exactly one of plain / CAE")
 
-    def adc_gather_indices(self, ksub: int) -> np.ndarray:
-        """Flat-LUT gather offsets (codes + per-subspace strides), int32."""
-        if self._gather_idx is None:
-            assert self.codes is not None
-            offsets = np.arange(self.codes.shape[1], dtype=np.int32) * ksub
-            self._gather_idx = self.codes.astype(np.int32) + offsets[None, :]
-        return self._gather_idx
+    def adc_gather_columns(self, ksub: int) -> np.ndarray:
+        """ADC gather offsets, column-major ``(m, s)`` int32.
 
-    def adc_safe_addresses(self, table_len: int) -> np.ndarray:
-        """Slot addresses with dead (past-length) slots redirected to a
-        zero sentinel appended after the flat table, int32.
-
-        Gathering through these indices yields the exact value sequence
+        Plain: ``code + subspace * ksub`` into the flattened (m, ksub)
+        LUT.  CAE (``ksub`` unused): slot addresses into the flat
+        [LUT | partial sums] table, with dead (past-length) slots set to
+        ``_DEAD_SLOT``, which the fused gather resolves to a 0.0
+        sentinel: the exact value sequence
         ``np.where(mask, table[addr], 0.0)`` produces, without building
         the mask per batch.
         """
-        if self._safe_addr is None or self._safe_table_len != table_len:
-            assert self.encoded is not None
-            enc = self.encoded
-            width = enc.addresses.shape[1]
-            mask = np.arange(width)[None, :] < enc.lengths[:, None]
-            self._safe_addr = np.where(mask, enc.addresses, table_len).astype(
-                np.int32
-            )
-            self._safe_table_len = table_len
-        return self._safe_addr
+        if self._gather_cols is None or self._gather_key != ksub:
+            if self.codes is not None:
+                m = self.codes.shape[1]
+                offsets = np.arange(m, dtype=np.int32)[:, None] * ksub
+                cols = self.codes.T + offsets
+            else:
+                assert self.encoded is not None
+                enc = self.encoded
+                width = enc.addresses.shape[1]
+                live = np.arange(width)[:, None] < enc.lengths[None, :]
+                cols = np.where(live, enc.addresses.T, _DEAD_SLOT)
+            self._gather_cols = np.ascontiguousarray(cols, dtype=np.int32)
+            self._gather_key = ksub
+        return self._gather_cols
 
     @property
     def size(self) -> int:
@@ -465,34 +467,97 @@ def apply_topk_charges(
     )
 
 
-#: Row-chunk length for the fused ADC gather: bounds the (rows, m)
-#: intermediate at a couple of MB so it stays cache-friendly instead
-#: of materializing hundreds of MB for a large worklist (measured ~3x
-#: faster than the one-shot gather at 20M rows).  Also the fusion bound
-#: of compute_batch_functional.
+#: Fusion bound of compute_batch_functional: consecutive DPUs share one
+#: ADC gather and one top-k dispatch while their candidate count stays
+#: within this many rows.
 _GATHER_CHUNK_ROWS = 1 << 16
 
+#: Target rows per _gather_sum chunk (whole pairs, so a chunk runs past
+#: it up to the next pair boundary): the (m, rows) float32 block (256 KB
+#: at m=8) stays cache-resident between its gather and its sum.
+_COLUMN_CHUNK_ROWS = 1 << 13
 
-def _gather_sum(table: np.ndarray, gidx: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """``table[gidx + base[:, None]].sum(axis=1)`` in row chunks.
 
-    Rows reduce independently (the axis-1 sum of an 8-ish-wide float32
-    row is sequential), so chunking over rows is bit-identical to the
-    one-shot expression while keeping the gathered intermediate small.
-    ``gidx`` is overwritten: the base offsets are added in place.
+def _pairwise_rows(cols: np.ndarray, lo: int, n: int) -> None:
+    """Sum rows ``lo .. lo+n`` of ``cols`` into ``cols[lo]``, in place.
+
+    Reproduces the order NumPy's pairwise summation applies to one
+    contiguous reduction of ``n`` elements: sequential below 8; eight
+    strided accumulators, the tree ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``
+    and a sequential tail up to 128; above that, recursive halving at a
+    multiple of 8.  Each step adds whole rows, so one NumPy call covers
+    every reduction at once.
     """
-    n = gidx.shape[0]
-    m = gidx.shape[1]
-    dists = np.empty(n, dtype=np.float32)
-    # One reused chunk buffer: fresh multi-MB temporaries page-fault.
-    val = np.empty((min(n, _GATHER_CHUNK_ROWS), m), dtype=np.float32)
-    for s in range(0, n, _GATHER_CHUNK_ROWS):
-        e = min(n, s + _GATHER_CHUNK_ROWS)
-        c = e - s
-        idx = gidx[s:e]
-        np.add(idx, base[s:e, None], out=idx)
-        np.take(table, idx, out=val[:c])
-        np.add.reduce(val[:c], axis=1, dtype=np.float32, out=dists[s:e])
+    if n < 8:
+        for i in range(lo + 1, lo + n):
+            np.add(cols[lo], cols[i], out=cols[lo])
+        return
+    if n <= 128:
+        acc = cols[lo : lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            np.add(acc, cols[i : i + 8], out=acc)
+        np.add(acc[0::2], acc[1::2], out=acc[0::2])
+        np.add(acc[0::4], acc[2::4], out=acc[0::4])
+        np.add(acc[0], acc[4], out=acc[0])
+        for i in range(end, lo + n):
+            np.add(cols[lo], cols[i], out=cols[lo])
+        return
+    half = n // 2
+    half -= half % 8
+    _pairwise_rows(cols, lo, half)
+    _pairwise_rows(cols, lo + half, n - half)
+    np.add(cols[lo], cols[lo + half], out=cols[lo])
+
+
+def _column_sum(cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(cols.T, axis=1, dtype=np.float32)``, bit for bit.
+
+    ``cols`` is a ``(width, rows)`` float32 block, one row per summed
+    column, and is used as scratch.  The reduction starts from the
+    additive identity, so the result is ``0.0 + pairwise(row)``: the
+    final add only turns an all-``-0.0`` sum into ``+0.0``.
+    """
+    _pairwise_rows(cols, 0, cols.shape[0])
+    return np.add(cols[0], np.float32(0.0), out=out)
+
+
+def _gather_sum(
+    table: np.ndarray, cols: list[np.ndarray], bases: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """Row sums of ``table`` gathered through every pair's columns.
+
+    ``cols[i]`` is pair i's ``(width, sizes[i])`` column-major offset
+    array and ``bases[i]`` the position of its table inside ``table``.
+    Chunk by chunk (whole pairs, until a chunk holds at least
+    ``_COLUMN_CHUNK_ROWS`` rows), the pairs' offsets are shifted into
+    one reused index block, each column is gathered into one contiguous
+    vector, and the columns are combined in the pairwise order of the
+    axis-1 sum (:func:`_column_sum`).  So the result is bit-identical to
+    the row-major gather and reduction of the looped oracle, while every
+    NumPy call runs over a whole chunk instead of one row.
+    """
+    ends = np.cumsum(sizes)
+    dists = np.empty(int(ends[-1]), dtype=np.float32)
+    # Each chunk ends at the first pair boundary at or past a multiple
+    # of _COLUMN_CHUNK_ROWS.
+    marks = np.arange(_COLUMN_CHUNK_ROWS, ends[-1], _COLUMN_CHUNK_ROWS)
+    bounds = np.unique(np.r_[0, np.searchsorted(ends, marks) + 1, len(cols)])
+    rows = np.r_[0, ends][bounds]
+    width = cols[0].shape[0]
+    chunk = int(np.diff(rows).max())
+    # Reused blocks: fresh multi-MB temporaries page-fault.
+    idx = np.empty((width, chunk), dtype=np.intp)
+    block = np.empty((width, chunk), dtype=np.float32)
+    bounds_l, rows_l = bounds.tolist(), rows.tolist()
+    for a, b, s, e in zip(bounds_l, bounds_l[1:], rows_l, rows_l[1:]):
+        cidx = idx[:, : e - s]
+        np.concatenate(cols[a:b], axis=1, out=cidx)
+        np.add(cidx, np.repeat(bases[a:b], sizes[a:b]), out=cidx)
+        vals = block[:, : e - s]
+        for j in range(width):
+            np.take(table, cidx[j], out=vals[j], mode="clip")
+        _column_sum(vals, dists[s:e])
     return dists
 
 
@@ -503,74 +568,37 @@ def compute_pair_distances(
 
     ``table`` is the (m, ksub) LUT for a plain payload or the flat
     [LUT | partial sums] table for a CAE payload.  Pairs are grouped by
-    encoding and padded row width, so each row's gather and axis-1
-    reduction run over exactly the same element sequence as the
-    per-pair :func:`adc_distances` / :func:`adc_distances_direct` call
-    — the outputs are bit-identical.  The fused gather indices are
-    concatenated each call from the per-payload index arrays, which the
-    payloads memoize.
+    encoding and row width; each group's tables are concatenated, with
+    one 0.0 sentinel at the end for dead CAE slots, and one
+    :func:`_gather_sum` runs every pair's memoized column-major gather
+    offsets over them.  Every row sums exactly the element sequence of
+    the per-pair :func:`adc_distances` / :func:`adc_distances_direct`
+    call, in the same order — the outputs are bit-identical.
     """
     out: list[np.ndarray] = [None] * len(pairs)  # type: ignore[list-item]
-    groups: dict[tuple[str, int], list[int]] = {}
+    groups: dict[tuple[bool, int], list[int]] = {}
     for i, (payload, _) in enumerate(pairs):
-        if payload.is_cae:
-            assert payload.encoded is not None
-            key = ("cae", payload.encoded.addresses.shape[1])
+        if payload.encoded is not None:
+            key = (True, payload.encoded.addresses.shape[1])
         else:
             assert payload.codes is not None
-            key = ("plain", payload.codes.shape[1])
+            key = (False, payload.codes.shape[1])
         groups.setdefault(key, []).append(i)
 
-    for (kind, width), idxs in groups.items():
-        if len(idxs) == 1:
-            payload, table = pairs[idxs[0]]
-            if kind == "plain":
-                out[idxs[0]] = adc_distances(payload.codes, table)
-            else:
-                assert payload.encoded is not None
-                out[idxs[0]] = adc_distances_direct(
-                    payload.encoded.addresses,
-                    table,
-                    payload.encoded.lengths.astype(np.int64),
-                )
-            continue
-        sizes = [pairs[i][0].size for i in idxs]
-        if kind == "plain":
-            ksub = pairs[idxs[0]][1].shape[1]
-            m = pairs[idxs[0]][0].codes.shape[1]
-            gidx = np.concatenate(
-                [pairs[i][0].adc_gather_indices(ksub) for i in idxs]
-            )
-            base = np.repeat(
-                np.arange(len(idxs), dtype=np.int32) * np.int32(m * ksub),
-                sizes,
-            )
-            flat = np.concatenate([pairs[i][1].reshape(-1) for i in idxs])
-            dists = _gather_sum(flat, gidx, base)
-        else:
-            # Each pair's flat table is followed by one 0.0 sentinel
-            # slot its dead addresses point at, so a single gather+sum
-            # reproduces the masked per-pair reduction exactly.
-            parts: list[np.ndarray] = []
-            for i in idxs:
-                parts.append(pairs[i][1])
-                parts.append(_SENTINEL_ZERO)
-            tables = np.concatenate(parts)
-            safes: list[np.ndarray] = []
-            table_lens = np.empty(len(idxs), dtype=np.int64)
-            for j, i in enumerate(idxs):
-                payload, table = pairs[i]
-                table_lens[j] = table.shape[0]
-                safes.append(payload.adc_safe_addresses(table.shape[0]))
-            starts = np.zeros(len(idxs), dtype=np.int64)
-            np.cumsum(table_lens[:-1] + 1, out=starts[1:])
-            base = np.repeat(starts.astype(np.int32), sizes)
-            gidx = np.concatenate(safes)
-            dists = _gather_sum(tables, gidx, base)
-        start = 0
-        for i, size in zip(idxs, sizes):
-            out[i] = dists[start : start + size]
-            start += size
+    for (cae, _width), idxs in groups.items():
+        tables = [pairs[i][1] for i in idxs]
+        ksub = 0 if cae else tables[0].shape[1]
+        cols = [pairs[i][0].adc_gather_columns(ksub) for i in idxs]
+        sizes = np.fromiter((c.shape[1] for c in cols), np.int64, len(cols))
+        table_sizes = np.fromiter((t.size for t in tables), np.int64, len(tables))
+        bases = np.zeros(len(idxs), dtype=np.int64)
+        np.cumsum(table_sizes[:-1], out=bases[1:])
+        assert bases[-1] + table_sizes[-1] <= _DEAD_SLOT
+        flat = np.concatenate([t.reshape(-1) for t in tables] + [_SENTINEL_ZERO])
+        dists = _gather_sum(flat, cols, bases, sizes)
+        ends = np.cumsum(sizes).tolist()
+        for i, start, end in zip(idxs, [0, *ends[:-1]], ends):
+            out[i] = dists[start:end]
     return out
 
 

@@ -202,7 +202,11 @@ def scan_topk_fast(
     Ties are broken stably by scan position: the result is always
     identical to ``np.argsort(distances, kind="stable")[:k]``, for any
     tasklet count — a uniquely defined output, so the vectorized and
-    reference paths cannot drift apart on duplicate distances.
+    reference paths cannot drift apart on duplicate distances.  NaN
+    ranks last, after +inf, whatever its sign bit: that is the order
+    NumPy's sort, partition and lexsort all use, so this path and
+    :func:`scan_topk_fast_batch_flat` agree without a key encoding, and
+    a NaN distance can never displace a real neighbour.
     """
     if n_tasklets < 1:
         raise ConfigError("need at least one tasklet")
@@ -215,12 +219,12 @@ def scan_topk_fast(
     t = n_tasklets
     stride = -(-n // t)  # ceil: max elements any tasklet scans
     # Column j of the (stride, t) layout is tasklet j's stride; pad with
-    # +inf so short strides sort their live prefix first (stable sort
-    # keeps any real +inf ahead of padding — padding sits at larger
-    # scan positions).
+    # NaN so short strides sort their live prefix first (NaN sorts last
+    # and the stable sort keeps any real NaN ahead of padding — padding
+    # sits at larger scan positions).
     pad = stride * t - n
     mat_v = np.concatenate(
-        [distances, np.full(pad, np.inf, dtype=np.float32)]
+        [distances, np.full(pad, np.nan, dtype=np.float32)]
     ).reshape(stride, t).T  # (t, stride): row i = distances[i::t]
     mat_p = np.arange(stride * t, dtype=np.int64).reshape(stride, t).T
     stride_len = np.full(t, n // t, dtype=np.int64)
@@ -264,7 +268,7 @@ def scan_topk_fast(
     # list: once a value fails against the final k-th best, everything
     # after it would have been pruned (Figure 9, grey nodes).
     merge_log_k = max(1.0, np.log2(max(k_eff, 2)))
-    accepted = ((top_v < threshold) & valid).sum(axis=1)
+    accepted = (_ranks_below(top_v, threshold) & valid).sum(axis=1)
     if prune:
         offered = np.minimum(accepted + 1, k_local)  # +1 failing probe
         stats.pruned += int((k_local - offered).sum())
@@ -279,15 +283,10 @@ def scan_topk_fast(
     return out_v, out_i, stats
 
 
-def _sortable_u32(values: np.ndarray) -> np.ndarray:
-    """Order-preserving float32 -> uint32 bijection (IEEE-754 trick).
-
-    Lets a plain integer sort implement the exact (value, position)
-    lexicographic order without a slow ``np.lexsort`` per group.
-    """
-    u = np.ascontiguousarray(values, dtype=np.float32).view(np.uint32)
-    neg = (u & np.uint32(0x80000000)) != 0
-    return np.where(neg, ~u, u | np.uint32(0x80000000))
+def _ranks_below(values: np.ndarray, threshold) -> np.ndarray:
+    """``values < threshold`` in the NaN-last order of the sort: below a
+    NaN threshold lies every number."""
+    return (values < threshold) | (np.isnan(threshold) & ~np.isnan(values))
 
 
 def scan_topk_fast_batch(
@@ -302,12 +301,11 @@ def scan_topk_fast_batch(
 
     The grouped kernel calls this once per batch with one group per
     (DPU, query) pair, replacing thousands of small NumPy dispatches
-    with a handful of fused ones.  Guaranteed result- and
-    stats-identical to calling :func:`scan_topk_fast` per group: the
-    padded layout only adds +inf entries past every stride's live
-    prefix, the work statistics are computed with the same float64
-    expressions from the true lengths, and the merge selects by the
-    same (value, scan position) key.
+    with a handful of fused ones.  Result- and stats-identical to
+    calling :func:`scan_topk_fast` per group: both select by the same
+    (value, scan position) order with NaN last, and the work statistics
+    are computed with the same float64 expressions from the true
+    lengths.
     """
     if len(values_list) == 0:
         return []
@@ -325,73 +323,35 @@ def scan_topk_fast_batch(
     )
 
 
-#: Padding key for the bucketed group selection: strictly greater than
-#: any real packed (value, position) key — the position half of a real
-#: key is a within-group offset, far below 2**32 - 1, so even a NaN
-#: distance (value half 0xFFFFFFFF) packs strictly below this.
-_PAD_KEY = np.uint64(0xFFFFFFFFFFFFFFFF)
+def _group_thresholds(
+    flat_v: np.ndarray, starts: np.ndarray, n_arr: np.ndarray, k_eff: np.ndarray
+) -> np.ndarray:
+    """Each group's ``k_eff``-th smallest value (NaN last), float32.
 
-
-def _select_group_topk_keys(
-    keys: np.ndarray,
-    starts: np.ndarray,
-    n_arr: np.ndarray,
-    k_eff: np.ndarray,
-    offs: np.ndarray,
-    out: np.ndarray,
-    k: int,
-) -> None:
-    """Per-group sorted k-smallest keys, written into ``out`` segments.
-
-    Equivalent to ``sorted(partition(keys[s:e], ke))[:ke]`` per group,
-    but batched: groups are bucketed by padded length class (next power
-    of two) so each class runs one 2-D ``np.partition`` + ``np.sort``
-    over a padded matrix instead of one small NumPy dispatch per group.
-    Padding slots hold :data:`_PAD_KEY`, which is strictly greater than
-    every real key, so they never enter a row's selected prefix; the
-    selected keys per group are therefore *identical* to the per-group
-    form (keys are unique (value, position) packs — the k smallest of a
-    multiset with unique members is a uniquely defined set).
+    Groups are bucketed by padded length class (next power of two) so
+    each class runs one 2-D ``np.partition`` over a NaN-padded matrix
+    instead of one small NumPy dispatch per group.  NaN padding ranks
+    after every real value and ``k_eff <= n``, so it never reaches a
+    row's order statistic.  Empty groups keep +inf.
     """
+    th = np.full(n_arr.shape[0], np.inf, dtype=np.float32)
     live = n_arr > 0
-    if not live.any():
-        return
     # Length class = smallest power of two >= n (exact integer search,
     # no float log rounding).
     pows = np.int64(1) << np.arange(40, dtype=np.int64)
     cls = np.searchsorted(pows, n_arr, side="left")
     cls[~live] = -1
-    for c in np.unique(cls[live]).tolist():
+    for c in np.flatnonzero(np.bincount(cls[live])).tolist():
         rows = np.flatnonzero(cls == c)
-        lens = n_arr[rows]
-        pad_len = int(pows[c])
-        n_rows = rows.shape[0]
-        total_in = int(lens.sum())
-        # Scatter each row's live keys into a PAD-filled (rows, pad_len)
-        # matrix: one vectorized pass over the class's elements.
-        row_of = np.repeat(np.arange(n_rows, dtype=np.int64), lens)
-        local_j = (
-            np.arange(total_in, dtype=np.int64)
-            - np.repeat(np.cumsum(lens) - lens, lens)
-        )
-        src = np.repeat(starts[rows], lens) + local_j
-        padded = np.full(n_rows * pad_len, _PAD_KEY, dtype=np.uint64)
-        padded[row_of * pad_len + local_j] = keys[src]
-        padded = padded.reshape(n_rows, pad_len)
-        width = min(k, pad_len)
-        if width < pad_len:
-            padded = np.partition(padded, width - 1, axis=1)[:, :width]
-        sel = np.sort(padded, axis=1)
-        # Extract each row's first k_eff entries into its out segment.
-        ke_rows = k_eff[rows]
-        total_out = int(ke_rows.sum())
-        loc_out = (
-            np.arange(total_out, dtype=np.int64)
-            - np.repeat(np.cumsum(ke_rows) - ke_rows, ke_rows)
-        )
-        dst = np.repeat(offs[rows], ke_rows) + loc_out
-        keep = np.arange(width, dtype=np.int64)[None, :] < ke_rows[:, None]
-        out[dst] = sel[keep]
+        span = np.arange(int(pows[c]), dtype=np.int64)
+        idx = starts[rows, None] + span[None, :]
+        padded = np.take(flat_v, idx, mode="clip")
+        pad = span[None, :] >= n_arr[rows, None]
+        np.copyto(padded, np.float32(np.nan), where=pad)
+        kth = k_eff[rows] - 1
+        padded.partition(np.flatnonzero(np.bincount(kth)), axis=1)
+        th[rows] = padded[np.arange(rows.shape[0]), kth]
+    return th
 
 
 def scan_topk_fast_batch_flat(
@@ -409,6 +369,14 @@ def scan_topk_fast_batch_flat(
     and ``n_arr`` gives the per-group lengths; callers that already own
     contiguous per-group slices (the grouped kernel) avoid a second
     concatenation pass.
+
+    Selection is by threshold: each group's k-th smallest value
+    (:func:`_group_thresholds`), then only the survivors ``v <= th`` —
+    k per group plus any ties at the threshold — are ordered by (group,
+    value, scan position) and cut to k.  The union of per-stride local
+    top-k lists always contains the global (value, position)-smallest
+    k, so selecting over the raw group is result-identical to
+    local-select-then-merge.
     """
     if n_tasklets < 1:
         raise ConfigError("need at least one tasklet")
@@ -417,43 +385,30 @@ def scan_topk_fast_batch_flat(
     n_groups = int(n_arr.shape[0])
     if n_groups == 0:
         return []
-    total = int(n_arr.sum())
-    if total == 0:
-        return [
-            (np.empty(0, dtype=np.float32), np.empty(0, dtype=np.int64), HeapStats())
-            for _ in range(n_groups)
-        ]
     flat_v = np.ascontiguousarray(flat_v, dtype=np.float32)
     flat_i = np.asarray(flat_i, dtype=np.int64)
     starts = np.zeros(n_groups + 1, dtype=np.int64)
     np.cumsum(n_arr, out=starts[1:])
-    gidx = np.repeat(np.arange(n_groups, dtype=np.int64), n_arr)
-    j = np.arange(total, dtype=np.int64) - starts[gidx]
-
-    # Per-group top-k by packed (value, position) key: groups are
-    # padded to their next power-of-two length and each length class
-    # runs one 2-D partition + sort (_select_group_topk_keys).  The
-    # union of per-stride local top-k lists always contains the global
-    # (value, position)-smallest k, so selecting directly over the raw
-    # group is result-identical to local-select-then-merge.
-    keys = (_sortable_u32(flat_v).astype(np.uint64) << np.uint64(32)) | (
-        j.astype(np.uint64)
-    )
-    mask32 = np.uint64(0xFFFFFFFF)
-    k_eff_arr = np.minimum(k, n_arr)
+    k_eff = np.minimum(k, n_arr)
     offs = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(k_eff_arr, out=offs[1:])
-    all_sel = np.empty(int(offs[-1]), dtype=np.uint64)
-    offs_l = offs.tolist()
-    _select_group_topk_keys(keys, starts, n_arr, k_eff_arr, offs, all_sel, k)
-    pos = (all_sel & mask32).astype(np.int64) + np.repeat(starts[:-1], k_eff_arr)
-    # Per-group selection threshold = last (largest) selected value;
-    # empty groups keep +inf (they contribute no candidates anyway).
-    th_v = np.where(
-        k_eff_arr > 0,
-        flat_v[pos[np.maximum(offs[1:] - 1, 0)]],
-        np.float32(np.inf),
-    ).astype(np.float32)
+    np.cumsum(k_eff, out=offs[1:])
+
+    th = _group_thresholds(flat_v, starts, n_arr, k_eff)
+    keep = flat_v <= np.repeat(th, n_arr)
+    nan_th = np.isnan(th)
+    if nan_th.any():
+        keep |= np.repeat(nan_th, n_arr)
+    # Survivors arrive in position order, hence sorted by group; the
+    # stable lexsort orders each group by value, ties by scan position,
+    # and leaves the group column as it is.
+    pos = np.flatnonzero(keep)
+    grp = np.searchsorted(starts, pos, side="right") - 1
+    pos = pos[np.lexsort((flat_v[pos], grp))]
+    first = np.zeros(n_groups, dtype=np.int64)
+    np.cumsum(np.bincount(grp, minlength=n_groups)[:-1], out=first[1:])
+    sel = np.arange(pos.shape[0]) - first[grp] < k_eff[grp]
+    pos, grp = pos[sel], grp[sel]
+    val = flat_v[pos]
 
     # Analytic local-scan work — the same per-stride float64 chain as
     # scan_topk_fast, truncated per stride before summing.
@@ -474,16 +429,16 @@ def scan_topk_fast_batch_flat(
     ins_local_g = k_local.sum(axis=1)
 
     # Merge statistics.  A stride's accepted count — how many of its
-    # ascending local list beat the final threshold — equals its raw
-    # count of elements strictly below the threshold: at most
-    # min(k, n) - 1 elements lie below it globally, so no stride can
-    # hold more than its own local-top capacity of them.
-    below = flat_v < th_v[gidx]
+    # ascending local list beat the final threshold — is its count of
+    # elements ranking strictly below the threshold.  Fewer than k_eff
+    # of those exist per group, so all of them are among the selected
+    # entries, and counting over the selection alone is exact.
+    below = _ranks_below(val, th[grp])
+    stride = (pos - starts[grp]) % t
     accepted = np.bincount(
-        (gidx * t + (j % t))[below], minlength=n_groups * t
+        (grp * t + stride)[below], minlength=n_groups * t
     ).reshape(n_groups, t)
-    k_eff_g = np.minimum(k, n_arr)
-    merge_log_k = np.maximum(1.0, np.log2(np.maximum(k_eff_g, 2)))
+    merge_log_k = np.maximum(1.0, np.log2(np.maximum(k_eff, 2)))
     if prune:
         offered = np.minimum(accepted + 1, k_local)
         pruned_g = (k_local - offered).sum(axis=1)
@@ -493,21 +448,20 @@ def scan_topk_fast_batch_flat(
     merge_g = (
         offered + (accepted * merge_log_k[:, None]).astype(np.int64)
     ).sum(axis=1)
-    accepted_g = accepted.sum(axis=1)
 
-    out_v_all = flat_v[pos]
-    out_i_all = flat_i[pos]
-    out: list[tuple[np.ndarray, np.ndarray, HeapStats]] = []
-    for g in range(n_groups):
-        o0, o1 = offs_l[g], offs_l[g + 1]
-        stats = HeapStats(
-            comparisons=int(comps_g[g] + merge_g[g]),
-            insertions=int(ins_local_g[g] + accepted_g[g]),
-            pruned=int(pruned_g[g]),
-            merge_comparisons=int(merge_g[g]),
-        )
-        out.append((out_v_all[o0:o1], out_i_all[o0:o1], stats))
-    return out
+    out_i = flat_i[pos]
+    offs_l = offs.tolist()
+    stats = map(
+        HeapStats,
+        (comps_g + merge_g).tolist(),
+        (ins_local_g + accepted.sum(axis=1)).tolist(),
+        pruned_g.tolist(),
+        merge_g.tolist(),
+    )
+    return [
+        (val[o0:o1], out_i[o0:o1], st)
+        for o0, o1, st in zip(offs_l[:-1], offs_l[1:], stats)
+    ]
 
 
 def estimate_scan_stats(n_points: float, k: int, n_tasklets: int) -> tuple[float, float]:

@@ -271,3 +271,88 @@ class TestScanTopkBatch:
     def test_invalid_tasklets(self):
         with pytest.raises(ConfigError):
             scan_topk_fast_batch([np.ones(3, np.float32)], [np.arange(3)], 1, 0)
+
+
+#: Quantized values with many ties, both infinities, both signed zeros
+#: and NaN with and without the sign bit.
+PALETTE = np.array(
+    [0.0, -0.0, 0.25, 0.5, 1.0, 3.0, -2.0, np.inf, -np.inf, np.nan, -np.nan],
+    dtype=np.float32,
+)
+POWERS_OF_TWO = [1, 2, 4, 8, 16, 32, 64, 128]
+
+
+@st.composite
+def tie_heavy_groups(draw):
+    """Per-group candidate values over a few palette entries; lengths
+    include empty groups, n < k, exact powers of two and n < t."""
+    out = []
+    for _ in range(draw(st.integers(0, 8))):
+        n = draw(st.one_of(st.integers(0, 24), st.sampled_from(POWERS_OF_TWO)))
+        support = draw(
+            st.lists(st.integers(0, len(PALETTE) - 1), min_size=1, max_size=4)
+        )
+        picks = draw(st.lists(st.sampled_from(support), min_size=n, max_size=n))
+        out.append(PALETTE[np.array(picks, dtype=np.int64)].astype(np.float32))
+    return out
+
+
+class TestTopkEquivalenceProperty:
+    """Batched == per-group ``scan_topk_fast``, bit for bit, where the
+    threshold selection is most fragile: ties at the k-th value (the
+    survivors ``v <= threshold`` outnumber k), infinities, NaN of either
+    sign (ranked last, as ``np.argsort`` ranks it), signed zeros (equal,
+    so ordered by scan position) and degenerate lengths."""
+
+    @given(
+        groups=tie_heavy_groups(),
+        k=st.integers(1, 20),
+        t=st.integers(1, 24),
+        prune=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_batch_equals_scalar(self, groups, k, t, prune):
+        ids_list = [
+            np.arange(1000 * g, 1000 * g + v.shape[0], dtype=np.int64)
+            for g, v in enumerate(groups)
+        ]
+        batched = scan_topk_fast_batch(groups, ids_list, k, t, prune=prune)
+        assert len(batched) == len(groups)
+        for (bv, bi, bs), v, ids in zip(batched, groups, ids_list):
+            gv, gi, gs = scan_topk_fast(v, ids, k, t, prune=prune)
+            np.testing.assert_array_equal(bv.view(np.uint32), gv.view(np.uint32))
+            np.testing.assert_array_equal(bi, gi)
+            assert stats_tuple(bs) == stats_tuple(gs)
+            # The pinned semantics: the stable argsort's first k.
+            np.testing.assert_array_equal(gi, ids[np.argsort(v, kind="stable")[:k]])
+
+    @pytest.mark.parametrize("scan", ["scalar", "batched"])
+    def test_signed_nan_ranks_last(self, scan):
+        v = np.array([3.0, 1.0, 2.0, -np.nan], dtype=np.float32)
+        ids = np.arange(4, dtype=np.int64)
+        if scan == "scalar":
+            _, got, _ = scan_topk_fast(v, ids, 2, 3)
+        else:
+            ((_, got, _),) = scan_topk_fast_batch_flat(v, ids, [4], 2, 3)
+        np.testing.assert_array_equal(got, [1, 2])
+
+    def test_nan_in_short_stride_is_not_displaced_by_padding(self):
+        """A NaN in a stride shorter than the others ranks after every
+        real value and is still returned when k covers it."""
+        v = np.array([1.0, 2.0, np.nan, 4.0, 5.0], dtype=np.float32)
+        ids = np.arange(5, dtype=np.int64)
+        gv, gi, _ = scan_topk_fast(v, ids, 5, 3)
+        np.testing.assert_array_equal(gi, [0, 1, 3, 4, 2])
+        assert np.isnan(gv[-1])
+
+    @pytest.mark.parametrize("scan", ["scalar", "batched"])
+    def test_numbers_rank_below_a_nan_threshold(self, scan):
+        """With NaN as the k-th value, the finite value ahead of it
+        counts as accepted by the merge (insertions = 2 local + 1)."""
+        v = np.array([1.0, np.nan], dtype=np.float32)
+        ids = np.arange(2, dtype=np.int64)
+        if scan == "scalar":
+            _, _, stats = scan_topk_fast(v, ids, 2, 1)
+        else:
+            ((_, _, stats),) = scan_topk_fast_batch_flat(v, ids, [2], 2, 1)
+        assert stats_tuple(stats) == (7, 3, 0, 3)
